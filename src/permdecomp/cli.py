@@ -5,9 +5,9 @@ baseline), ``randgen`` (random instance files with a ground-truth sidecar),
 ``verify`` (compare two decomposition documents) and ``bench`` (timing
 tables).
 
-Exit codes are part of the contract: 0 ok, 1 parse error, 2 internal
-invariant breach, 3 orbit cap exceeded, 4 retry budget exhausted, 5
-decompositions not equivalent.
+Exit codes are part of the contract: 0 ok, 1 parse error (a malformed file
+or an out-of-range flag value), 2 internal invariant breach, 3 orbit cap
+exceeded, 4 retry budget exhausted, 5 decompositions not equivalent.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ EXIT_INVARIANT = 2
 EXIT_CAP = 3
 EXIT_RETRY = 4
 EXIT_NOT_EQUIVALENT = 5
+
+
+class UsageError(Exception):
+    """A command-line value outside its documented range."""
+
+
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _load_handle(path: str) -> GroupHandle:
@@ -116,6 +126,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_randgen(args) -> int:
+    _positive("--r", args.r)
+    _positive("--s", args.s)
     inner = _inner_group(args.inner)
     spec = RandomInstanceSpec(inner, args.r, args.s, args.seed)
     handle, expected = random_ddp_group(spec)
@@ -154,15 +166,23 @@ def cmd_verify(args) -> int:
     return EXIT_NOT_EQUIVALENT
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _positive_list(flag: str, text: str) -> list[int]:
+    try:
+        values = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma-separated list of integers, "
+                         f"got {text!r}") from None
+    return [_positive(flag, v) for v in values]
 
 
 def cmd_bench(args) -> int:
+    rs = _positive_list("--r", args.r)
+    ss = _positive_list("--s", args.s)
+    _positive("--reps", args.reps)
     inner = _inner_group(args.inner)
     rows = []
-    for r in _int_list(args.r):
-        for s in _int_list(args.s):
+    for r in rs:
+        for s in ss:
             spec = RandomInstanceSpec(inner, r, s, args.seed)
             records = run_benchmark(spec, args.task, args.reps, args.time_limit)
             summary = summarize(records)
@@ -249,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GroupFileError, CycleFormatError) as exc:
+    except (GroupFileError, CycleFormatError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except InvariantViolation as exc:

@@ -11,14 +11,18 @@ Conventions used throughout the package:
 Permutations are immutable and hashable, so they can be freely shared,
 stored in sets and used as dictionary keys.
 
-Internally the image table is stored 0-based, as ``bytes`` for degrees up
-to 255 (composition is then a single ``bytes.translate`` call) and as a
-tuple of ints for larger degrees.
+Internally the image table is stored 0-based.  The degree alone picks the
+representation, and this module is the only place that knows it: degrees
+1..256 store ``bytes`` (every image is 0..255) and compose with one
+``bytes.translate``; larger degrees store a tuple of ints and compose with
+one ``operator.itemgetter`` call.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -26,11 +30,28 @@ class CycleFormatError(ValueError):
     """Raised when a cycle-notation string does not match the grammar."""
 
 
+_MAX_BYTES_DEGREE = 256
 _PAD = bytes(256)
 
 # after stripping whitespace: "()" alone, or one or more cycles of >= 2 points
 _PERM_RE = re.compile(r"(\(\d+(?:,\d+)+\))+")
 _CYCLE_RE = re.compile(r"\(([\d,]+)\)")
+
+
+def _as_image(table: Sequence[int]) -> bytes | tuple[int, ...]:
+    """The stored form of a 0-based image table."""
+    return bytes(table) if len(table) <= _MAX_BYTES_DEGREE else tuple(table)
+
+
+@cache
+def _identity_image(degree: int) -> bytes | tuple[int, ...]:
+    return _as_image(range(degree))
+
+
+def _compose_tuples(img: tuple[int, ...], tbl: tuple[int, ...]) -> tuple[int, ...]:
+    # only used above degree 256, so there are always at least two indices
+    # and itemgetter returns a tuple, never a bare int
+    return itemgetter(*img)(tbl)
 
 
 class Permutation:
@@ -50,7 +71,7 @@ class Permutation:
         zero_based = [p - 1 for p in images]
         if sorted(zero_based) != list(range(n)):
             raise ValueError(f"not a bijection on 1..{n}: {images!r}")
-        self._img = bytes(zero_based) if n <= 255 else tuple(zero_based)
+        self._img = _as_image(zero_based)
         self._tbl = None
 
     @classmethod
@@ -66,9 +87,7 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        if degree <= 255:
-            return cls._make(bytes(range(degree)))
-        return cls._make(tuple(range(degree)))
+        return cls._make(_identity_image(degree))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
@@ -87,9 +106,7 @@ class Permutation:
                 seen.add(p)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 table[a - 1] = b - 1
-        if degree <= 255:
-            return cls._make(bytes(table))
-        return cls._make(tuple(table))
+        return cls._make(_as_image(table))
 
     @property
     def degree(self) -> int:
@@ -102,35 +119,36 @@ class Permutation:
         return self._img[p - 1] + 1
 
     def is_identity(self) -> bool:
-        img = self._img
-        if type(img) is bytes:
-            return img == bytes(range(len(img)))
-        return all(i == x for i, x in enumerate(img))
+        return self._img == _identity_image(len(self._img))
 
-    def _table(self) -> bytes:
+    @staticmethod
+    def _composer(degree: int):
+        """The raw product for one degree: ``op(a._img, b._table())`` is
+        ``(a * b)._img``.  Hot loops fetch it once and run on raw images."""
+        return bytes.translate if degree <= _MAX_BYTES_DEGREE else _compose_tuples
+
+    def _table(self) -> bytes | tuple[int, ...]:
+        """The right operand of :meth:`_composer`: the image padded to a
+        256-byte translate table, or the image tuple itself."""
         tbl = self._tbl
         if tbl is None:
-            tbl = self._tbl = self._img + _PAD[: 256 - len(self._img)]
+            img = self._img
+            tbl = self._tbl = img + _PAD[len(img):] if len(img) <= _MAX_BYTES_DEGREE else img
         return tbl
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right composition: apply self first, then other."""
         a = self._img
-        b = other._img
-        if len(a) != len(b):
-            raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
-        if type(a) is bytes:
-            return Permutation._make(a.translate(other._table()))
-        return Permutation._make(tuple(b[x] for x in a))
+        if len(a) != len(other._img):
+            raise ValueError(f"degree mismatch: {len(a)} vs {len(other._img)}")
+        return Permutation._make(Permutation._composer(len(a))(a, other._table()))
 
     def inverse(self) -> "Permutation":
         img = self._img
         n = len(img)
-        if type(img) is bytes:
-            inv = bytearray(n)
-            for i, x in enumerate(img):
-                inv[x] = i
-            return Permutation._make(bytes(inv))
+        if n <= _MAX_BYTES_DEGREE:
+            # maketrans sends img[i] to i: a translate table of the inverse
+            return Permutation._make(bytes.maketrans(img, _identity_image(n))[:n])
         inv = [0] * n
         for i, x in enumerate(img):
             inv[x] = i
@@ -175,9 +193,7 @@ class Permutation:
             if q not in keep:
                 raise ValueError(f"point set not invariant: {p} maps to {q}")
             table[p - 1] = q - 1
-        if n <= 255:
-            return Permutation._make(bytes(table))
-        return Permutation._make(tuple(table))
+        return Permutation._make(_as_image(table))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest point, sorted

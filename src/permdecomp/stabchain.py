@@ -124,12 +124,15 @@ class TransversalLevel:
 
     ``coset_reps`` maps each point q of the basic orbit to a representative
     r with base_point^r = q; the base point itself maps to the identity.
+    ``inverse_tables`` optionally maps q - 1 to ``r.inverse()._table()``, as
+    the chain builder already has them; they are computed when omitted.
     """
 
     __slots__ = ("base_point", "coset_reps", "level_generators", "_inv0")
 
     def __init__(self, base_point: int, coset_reps: dict[int, Permutation],
-                 level_generators: Sequence[Permutation] = ()):
+                 level_generators: Sequence[Permutation] = (),
+                 inverse_tables: dict[int, object] | None = None):
         if coset_reps.get(base_point) is None or not coset_reps[base_point].is_identity():
             raise ValueError("coset_reps must map the base point to the identity")
         for q, r in coset_reps.items():
@@ -138,8 +141,10 @@ class TransversalLevel:
         self.base_point = base_point
         self.coset_reps = dict(coset_reps)
         self.level_generators = tuple(level_generators)
-        # 0-based image -> inverse representative, for the sift hot path
-        self._inv0 = {q - 1: r.inverse() for q, r in coset_reps.items()}
+        # 0-based image -> inverse representative's table, for the sift hot path
+        if inverse_tables is None:
+            inverse_tables = {q - 1: r.inverse()._table() for q, r in coset_reps.items()}
+        self._inv0 = inverse_tables
 
     @property
     def basic_orbit(self) -> frozenset[int]:
@@ -182,8 +187,8 @@ class _Node:
         self.p0 = p0                      # 0-based point
         self.gens: list[Permutation] = []
         self.reps: dict[int, Permutation] = {}   # 0-based point -> rep
-        # 0-based point -> inverse rep: padded translate table for degrees
-        # <= 255, Permutation otherwise
+        # 0-based point -> the inverse rep's _table(), the right operand
+        # of the raw product
         self.inv: dict[int, object] = {}
         self.tree_edge: dict[int, tuple[int, int]] = {}  # q -> (p, gen index)
         self.pts: list[int] = []          # orbit points in discovery order
@@ -239,9 +244,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     nnodes = len(nodes)
     strong: list[Permutation] = []
     identity = Permutation.identity(degree)
-    # degree <= 255: permutations are bytes tables, so the whole sweep can
-    # run on raw tables with bytes.translate, never allocating objects
-    raw = type(identity._img) is bytes
+    # the sweep runs on raw images with the degree's product, allocating a
+    # Permutation only for a residue that joins the strong generators
+    compose = Permutation._composer(degree)
     id_img = identity._img
 
     def first_moved_index(g: Permutation) -> int:
@@ -266,7 +271,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         pts = node.pts
         if not reps:
             reps[node.p0] = identity
-            inv[node.p0] = identity._table() if raw else identity
+            inv[node.p0] = identity._table()
             pts.append(node.p0)
         gens_local = node.gens
         ep, eg = node.exp_pts, node.exp_gens
@@ -275,38 +280,24 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             return
         # old points with new generators, then every point from the old
         # frontier on (including ones appended just below) with all gens
-        for i in range(ep):
-            p = pts[i]
-            rp = reps[p]
-            for gi in range(eg, ngens):
-                g = gens_local[gi]
-                q = g._img[p]
-                if q not in reps:
-                    rq = rp * g
-                    reps[q] = rq
-                    inv_q = rq.inverse()
-                    inv[q] = inv_q._table() if raw else inv_q
-                    tree_edge[q] = (p, gi)
-                    pts.append(q)
-        i = ep
+        i = 0
         while i < len(pts):
             p = pts[i]
             rp = reps[p]
-            for gi in range(ngens):
+            for gi in range(eg if i < ep else 0, ngens):
                 g = gens_local[gi]
                 q = g._img[p]
                 if q not in reps:
                     rq = rp * g
                     reps[q] = rq
-                    inv_q = rq.inverse()
-                    inv[q] = inv_q._table() if raw else inv_q
+                    inv[q] = rq.inverse()._table()
                     tree_edge[q] = (p, gi)
                     pts.append(q)
             i += 1
         node.exp_pts = len(pts)
         node.exp_gens = ngens
 
-    def strip_raw(img: bytes, start: int) -> tuple[bytes, int]:
+    def strip(img, start: int) -> tuple[object, int]:
         t = start
         while t < nnodes:
             node = nodes[t]
@@ -316,22 +307,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 tbl = node.inv.get(q)
                 if tbl is None:
                     return img, t
-                img = img.translate(tbl)
+                img = compose(img, tbl)
             t += 1
         return img, nnodes
-
-    def strip_obj(g: Permutation, start: int) -> tuple[Permutation, int]:
-        t = start
-        while t < nnodes:
-            node = nodes[t]
-            q = g._img[node.p0]
-            if q != node.p0:
-                inv = node.inv.get(q)
-                if inv is None:
-                    return g, t
-                g = g * inv
-            t += 1
-        return g, nnodes
 
     for g in gens:
         strong.append(g)
@@ -387,21 +365,13 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 q = s._img[p]
                 if tree_edge.get(q) == (p, g_i):
                     continue
-                if raw:
-                    prod = reps[p]._img.translate(s._table())
-                    if prod == reps[q]._img:
-                        continue
-                    res_img, j = strip_raw(prod.translate(inv[q]), t + 1)
-                    if res_img == id_img:
-                        continue
-                    residue = Permutation._make(res_img)
-                else:
-                    prod = reps[p] * s
-                    if prod == reps[q]:
-                        continue
-                    residue, j = strip_obj(prod * inv[q], t + 1)
-                    if residue.is_identity():
-                        continue
+                prod = compose(reps[p]._img, s._table())
+                if prod == reps[q]._img:
+                    continue
+                res_img, j = strip(compose(prod, inv[q]), t + 1)
+                if res_img == id_img:
+                    continue
+                residue = Permutation._make(res_img)
                 strong.append(residue)
                 attach(residue, t + 1)
                 for l in range(t + 1, j + 1):
@@ -423,7 +393,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         if len(node.pts) <= 1:
             continue
         reps = {q + 1: r for q, r in node.reps.items()}
-        levels.append(TransversalLevel(node.p0 + 1, reps, tuple(node.gens)))
+        levels.append(TransversalLevel(node.p0 + 1, reps, tuple(node.gens), node.inv))
     return StabilizerChain(degree, levels, strong)
 
 
@@ -450,15 +420,18 @@ def sift(chain: StabilizerChain, g: Permutation, start_level: int = 1) -> tuple[
     m = len(chain.levels)
     if not 1 <= start_level <= m + 1:
         raise ValueError(f"start_level {start_level} out of range 1..{m + 1}")
+    compose = Permutation._composer(chain.degree)
+    img = g._img
     for t in range(start_level - 1, m):
         level = chain.levels[t]
-        q = g._img[level.base_point - 1]
-        if q != level.base_point - 1:
-            inv = level._inv0.get(q)
-            if inv is None:
-                return g, t + 1
-            g = g * inv
-    return g, m + 1
+        b = level.base_point - 1
+        q = img[b]
+        if q != b:
+            tbl = level._inv0.get(q)
+            if tbl is None:
+                return Permutation._make(img), t + 1
+            img = compose(img, tbl)
+    return Permutation._make(img), m + 1
 
 
 def is_member(chain: StabilizerChain, g: Permutation) -> bool:

@@ -167,6 +167,14 @@ class TestRandgenCommand:
         handle = GroupHandle.from_generators(gens, degree)
         assert degree == 5 and handle.order == 5 and handle.orbit_structure.k == 1
 
+    @pytest.mark.parametrize("r, s", [("0", "2"), ("2", "0")])
+    def test_nonpositive_r_or_s_is_a_parse_error(self, tmp_path, capsys, r, s):
+        out = tmp_path / "bad.grp"
+        assert main(["randgen", "--inner", "D8", "--r", r, "--s", s, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_document_vs_itself(self, running_file, tmp_path, capsys):
@@ -227,6 +235,15 @@ class TestBenchCommand:
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         small, big = (row["whole"]["median"] for row in rows)
         assert big > 2 * small  # doubling r more than doubles the baseline
+
+    @pytest.mark.parametrize("flags", [["--r", "2", "--s", "2", "--reps", "0"],
+                                       ["--r", "2,0", "--s", "2"],
+                                       ["--r", "2", "--s", "x"]])
+    def test_bad_sweep_values_are_parse_errors(self, capsys, flags):
+        assert main(["bench", "--task", "decompose", "--inner", "D8", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
 
 
 class TestBuiltinGroups:

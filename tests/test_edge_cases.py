@@ -1,7 +1,9 @@
 import random
+import types
 
 import pytest
 
+import permdecomp
 from permdecomp import (
     GroupHandle,
     OrbitPartition,
@@ -112,3 +114,9 @@ class TestFuzzAgainstElementOracle:
             assert brute_force_decompose(handle) == res.partition
             assert res.whole_order == len(elems)
             checked += 1
+
+
+class TestPackageSurface:
+    def test_all_names_exist_and_are_not_modules(self):
+        for name in permdecomp.__all__:
+            assert not isinstance(getattr(permdecomp, name), types.ModuleType), name

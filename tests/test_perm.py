@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permdecomp import CycleFormatError, Permutation, compose, format_cycles, parse_cycles
 
@@ -17,6 +19,12 @@ def perm(text, degree=12):
 
 def perms(degree=12, min_size=0):
     return st.permutations(list(range(1, degree + 1))).map(Permutation)
+
+
+def shuffled(degree):
+    images = list(range(1, degree + 1))
+    random.Random(degree).shuffle(images)
+    return images
 
 
 class TestCompose:
@@ -165,10 +173,16 @@ class TestAlgebraProperties:
         assert left * right == g
 
     @settings(max_examples=25)
-    @given(st.integers(256, 400).flatmap(
+    @given(st.integers(255, 400).flatmap(
         lambda n: st.tuples(st.just(n), st.permutations(list(range(1, n + 1))))))
+    @example((255, shuffled(255)))
+    @example((256, shuffled(256)))
+    @example((257, shuffled(257)))
     def test_large_degree_tuple_path(self, pair):
         n, images = pair
         g = Permutation(images)
+        # images 0..255 fit in bytes, so the bytes path runs through degree 256
+        assert isinstance(g._img, bytes) == (n <= 256)
         assert (g * g.inverse()).is_identity()
+        assert tab(g * g) == tab_compose(tab(g), tab(g))
         assert parse_cycles(format_cycles(g), n) == g

@@ -82,6 +82,9 @@ class TestBuildChain:
             assert siftee.is_identity() and stop == len(handle.chain.levels) + 1
 
     def test_order_matches_closure_on_random_groups(self):
+        # each group also runs relabeled into the top points of degrees on
+        # both sides of the bytes/tuple boundary; relabeling keeps the order
+        # and maps closure elements to members
         rng = random.Random(11)
         for _ in range(12):
             degree = rng.randint(4, 9)
@@ -90,10 +93,21 @@ class TestBuildChain:
                 images = list(range(1, degree + 1))
                 rng.shuffle(images)
                 gens.append(Permutation(images))
-            size = len(closure([tab(g) for g in gens], degree))
-            if size > 5000:
+            elems = closure([tab(g) for g in gens], degree)
+            if len(elems) > 5000:
                 continue
-            assert build_chain(gens, degree).order == size
+            assert build_chain(gens, degree).order == len(elems)
+            sample = rng.sample(sorted(elems), min(len(elems), 10))
+            for big in (255, 256, 257, 300):
+                shift = big - degree
+
+                def lift(images):
+                    return Permutation(list(range(1, shift + 1)) + [x + shift for x in images])
+
+                chain = build_chain([lift(tab(g)) for g in gens], big)
+                assert chain.order == len(elems)
+                assert all(b > shift for b in chain.base)
+                assert all(is_member(chain, lift(x)) for x in sample)
 
     def test_strong_generator_property(self):
         # filtering the strong set to a level's fixed prefix regenerates
