@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
 from .apps import run_benchmark, summarize
-from .decompose import InvariantViolation, decompose_handle
+from .decompose import DecompositionResult, Factor, InvariantViolation, decompose_handle
 from .groupfile import (
     GroupFileError,
     check_document,
@@ -30,7 +29,7 @@ from .groupfile import (
     read_group_file,
     write_group_file,
 )
-from .groups import by_name
+from .groups import UnknownGroupName, by_name
 from .oracle import (
     OrbitCapExceeded,
     RandomInstanceSpec,
@@ -68,10 +67,15 @@ def _load_handle(path: str) -> GroupHandle:
 
 def _inner_group(name_or_path: str) -> GroupHandle:
     try:
-        return by_name(name_or_path)
-    except ValueError:
-        pass
-    return _load_handle(name_or_path)
+        handle = by_name(name_or_path)
+    except UnknownGroupName:
+        handle = _load_handle(name_or_path)
+    except ValueError as exc:
+        raise UsageError(f"--inner {name_or_path}: {exc}") from None
+    if handle.orbit_structure.orbits != (tuple(range(1, handle.degree + 1)),):
+        raise UsageError(f"--inner {name_or_path}: the inner group must be "
+                         f"transitive on its {handle.degree} points")
+    return handle
 
 
 def cmd_decompose(args) -> int:
@@ -95,33 +99,16 @@ def cmd_decompose(args) -> int:
 def cmd_oracle(args) -> int:
     handle = _load_handle(args.input)
     partition = brute_force_decompose(handle, cap=args.cap, pairs_first=args.pairs_first)
+    structure = handle.orbit_structure
     factors = []
     for cell in partition.cells:
-        support = sorted(p for j in cell for p in handle.orbit_structure.orbit(j))
-        gens = []
-        for g in handle.generators:
-            r = g.restrict(support)
-            if not r.is_identity():
-                gens.append(r)
-        order = restriction_order(handle, cell)
-        factors.append({
-            "orbits": list(cell),
-            "support": support,
-            "generators": sorted({format_cycles(g) for g in gens}),
-            "order": str(order),
-        })
-    doc = {
-        "format": "permdecomp-decomposition/1",
-        "method": "oracle",
-        "degree": handle.degree,
-        "orbits": [list(o) for o in handle.orbit_structure.orbits],
-        "fixed_points": list(handle.orbit_structure.fixed_points),
-        "cells": [list(c) for c in partition.cells],
-        "factors": factors,
-        "whole_order": str(handle.order),
-        "meta": {"tool": "permdecomp", "version": __version__, "rng": None, "seed": None},
-    }
-    sys.stdout.write(dump_document(doc))
+        support = tuple(sorted(p for j in cell for p in structure.orbit(j)))
+        restricted = {g.restrict(support) for g in handle.generators}
+        gens = tuple(sorted((g for g in restricted if not g.is_identity()), key=format_cycles))
+        factors.append(Factor(cell, support, gens, restriction_order(handle, cell), handle=None))
+    result = DecompositionResult(handle.degree, partition, tuple(factors),
+                                 structure.fixed_points, handle.order, structure)
+    sys.stdout.write(dump_document(decomposition_document(result, method="oracle")))
     return EXIT_OK
 
 
@@ -216,8 +203,14 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors are parse errors (exit 1, one line), not argparse's exit 2
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permdecomp",
         description="finest disjoint direct product decomposition of permutation groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (GroupFileError, CycleFormatError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")

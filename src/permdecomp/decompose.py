@@ -13,6 +13,17 @@ of the first i orbits, reusing the tail of the stabilizer chain; whether
 the siftee moves orbit i+1 decides, cell by cell, which cells must merge
 with orbit i+1.  Quotient maps are never materialized: the siftee test is
 the whole kernel test.
+
+Whether an element moves the prefix, and which cell it acts in, are read
+off the base, not off point sets.  A group element fixing the base points
+that lie in orbits 1..j fixes those orbits pointwise, because every
+candidate the chain builder dropped has a singleton basic orbit in the
+stabilizer of the candidates before it (Seress 2003, section 4).  So the
+orbit of the first base point an element moves is the smallest orbit it
+moves: an element fixing the prefix's base points fixes the prefix, and
+otherwise that orbit names its cell.  The rule holds only for elements of
+the group; :func:`verify_separability` reads supports instead, so the check
+does not lean on it.
 """
 
 from __future__ import annotations
@@ -31,40 +42,6 @@ from .stabchain import (
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed; names the violated invariant."""
-
-
-class DisjointSet:
-    """Union-find over 1..n with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(1, len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return sorted(out.values())
 
 
 class OrbitPartition:
@@ -146,7 +123,8 @@ class Factor:
     support: tuple[int, ...]
     generators: tuple[Permutation, ...]
     order: int
-    handle: GroupHandle = field(repr=False, compare=False)
+    # None when no chain was built for the factor, as in oracle documents
+    handle: GroupHandle | None = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -160,12 +138,6 @@ class DecompositionResult:
 
     def supports(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(f.support) for f in self.factors)
-
-
-def orbit_ordered_handle(generators: Sequence[Permutation], degree: int,
-                         orbit_order: Sequence[int] | None = None) -> GroupHandle:
-    """Group handle whose chain uses an orbit-ordered base."""
-    return GroupHandle.from_generators(generators, degree, orbit_order)
 
 
 def compute_N_generators(handle: GroupHandle, i: int) -> list[Permutation]:
@@ -187,31 +159,17 @@ def compute_N_generators(handle: GroupHandle, i: int) -> list[Permutation]:
     return out
 
 
-def find_cell(x: Permutation, partition: OrbitPartition, structure: OrbitStructure,
-              verify: bool = False) -> tuple[int, ...]:
-    """The unique cell whose orbits contain the action of x on the first i
-    orbits, where i is the partition's top index.
-
-    Locates the first orbit j <= i that x moves; i-separability guarantees
-    the cell is unique.  With ``verify`` set, all orbits are scanned and
-    uniqueness is asserted.
-    """
-    i = partition.max_index
-    first = None
-    for j in range(1, i + 1):
-        if x.moves_any(structure.orbit(j)):
-            first = j
-            break
-    if first is None:
-        raise ValueError("permutation fixes the whole orbit prefix")
-    cell = partition.cell_of(first)
-    if verify:
-        touched = {partition.cell_of(j) for j in range(first, i + 1)
-                   if x.moves_any(structure.orbit(j))}
-        if touched != {cell}:
-            raise InvariantViolation(
-                f"separability breach: {x} touches cells {sorted(touched)}")
-    return cell
+def _first_moved_orbit(x: Permutation, base: Sequence[int],
+                       structure: OrbitStructure) -> int | None:
+    """Orbit index of the first point of ``base`` that x moves, or None if
+    x fixes them all.  For x in the group and ``base`` a prefix of its
+    orbit-ordered base, this is the smallest orbit x moves (see the module
+    docstring), or None if x fixes the orbits ``base`` reaches into."""
+    img = x._img
+    for b in base:
+        if img[b - 1] != b - 1:
+            return structure.orbit_of_point(b)
+    return None
 
 
 def ddpd_step(handle: GroupHandle, i: int, sgs: SeparableSGS, partition: OrbitPartition,
@@ -228,31 +186,34 @@ def ddpd_step(handle: GroupHandle, i: int, sgs: SeparableSGS, partition: OrbitPa
     if sgs.separability_index != i or partition.max_index != i:
         raise ValueError("separability index and partition must both be at stage i")
     structure = handle.orbit_structure
-    prefix = structure.prefix(i)
+    if verify and not verify_separability(sgs, partition, structure):
+        raise InvariantViolation(f"SGS not {i}-separable before step {i}")
     next_orbit = structure.orbit(i + 1)
     start = pointwise_stabilizer_level(handle, i)
+    prefix_base = handle.chain.base[:start - 1]
     marked: set[tuple[int, ...]] = set()
     new_elements = []
     for x in sgs.elements:
-        # x outside the prefix stabilizer iff it moves a prefix point
-        if x.moves_any(prefix):
-            cell = find_cell(x, partition, structure, verify=verify)
-            siftee, _ = sift(handle.chain, x, start)
-            new_elements.append(siftee)
-            moved = siftee.moves_any(next_orbit)
-            if moved:
-                marked.add(cell)
-            if records_out is not None:
-                records_out.append(SifteeRecord(x, siftee, cell, moved))
-        else:
+        j = _first_moved_orbit(x, prefix_base, structure)
+        if j is None:
             new_elements.append(x)
-    dsu = DisjointSet(i + 1)
+            continue
+        cell = partition.cell_of(j)
+        siftee, _ = sift(handle.chain, x, start)
+        new_elements.append(siftee)
+        moved = siftee.moves_any(next_orbit)
+        if moved:
+            marked.add(cell)
+        if records_out is not None:
+            records_out.append(SifteeRecord(x, siftee, cell, moved))
+    merged = [i + 1]
+    cells = []
     for cell in partition.cells:
-        for j in cell[1:]:
-            dsu.union(cell[0], j)
-    for cell in marked:
-        dsu.union(cell[0], i + 1)
-    next_partition = OrbitPartition(dsu.groups())
+        if cell in marked:
+            merged.extend(cell)
+        else:
+            cells.append(cell)
+    next_partition = OrbitPartition(cells + [merged])
     next_sgs = SeparableSGS(tuple(new_elements), i + 1)
     if verify and not verify_separability(next_sgs, next_partition, structure):
         raise InvariantViolation(f"SGS not {i + 1}-separable after step {i}")
@@ -267,8 +228,8 @@ def verify_separability(sgs: SeparableSGS, partition: OrbitPartition,
     if partition.max_index != i:
         raise ValueError("partition must cover exactly the separability range")
     for x in sgs.elements:
-        touched = {partition.cell_of(j) for j in range(1, i + 1)
-                   if x.moves_any(structure.orbit(j))}
+        orbits = {structure.orbit_of_point(p) for p in x.support()}
+        touched = {partition.cell_of(j) for j in orbits if j is not None and j <= i}
         if len(touched) > 1:
             return False
     return True
@@ -291,10 +252,12 @@ def decompose_handle(handle: GroupHandle, verify: bool = False) -> Decomposition
     # the final SGS is separable: each nontrivial element acts inside one
     # cell, so grouping elements by cell yields the factor generators
     by_cell: dict[tuple[int, ...], list[Permutation]] = {cell: [] for cell in partition.cells}
+    base = handle.chain.base
     for x in sgs.elements:
-        if x.is_identity():
-            continue
-        cell = find_cell(x, partition, structure, verify=verify)
+        j = _first_moved_orbit(x, base, structure)
+        if j is None:
+            continue  # the identity: a group element fixing the base
+        cell = partition.cell_of(j)
         if verify:
             cell_support = {p for j in cell for p in structure.orbit(j)}
             if not x.support() <= cell_support:
@@ -329,5 +292,5 @@ def decompose(generators: Sequence[Permutation], degree: int,
     default smallest-element orbit processing order (the result's support
     family does not depend on it).
     """
-    handle = orbit_ordered_handle(generators, degree, orbit_order)
+    handle = GroupHandle.from_generators(generators, degree, orbit_order)
     return decompose_handle(handle, verify=verify)

@@ -13,6 +13,10 @@ from .stabchain import GroupHandle
 _NAME_RE = re.compile(r"([CDAS])(\d+)$")
 
 
+class UnknownGroupName(ValueError):
+    """The name is neither a family name nor a bundled group."""
+
+
 def cyclic(n: int) -> GroupHandle:
     """C_n acting on n points; order n."""
     if n < 2:
@@ -78,7 +82,8 @@ def load_bundled_group(name: str) -> GroupHandle:
 
 def by_name(name: str) -> GroupHandle:
     """Look up a group by a short name: C<n>, D<order>, A<n>, S<n>, or the
-    name of a bundled group file."""
+    name of a bundled group file.  A family name with a bad parameter raises
+    ValueError; any other name raises UnknownGroupName."""
     match = _NAME_RE.fullmatch(name.strip())
     if match:
         family, num = match.group(1), int(match.group(2))
@@ -91,5 +96,5 @@ def by_name(name: str) -> GroupHandle:
         return symmetric(num)
     if name in bundled_group_names():
         return load_bundled_group(name)
-    raise ValueError(f"unknown group name {name!r} "
-                     f"(expected C<n>, D<order>, A<n>, S<n> or one of {bundled_group_names()})")
+    raise UnknownGroupName(f"unknown group name {name!r} "
+                           f"(expected C<n>, D<order>, A<n>, S<n> or one of {bundled_group_names()})")

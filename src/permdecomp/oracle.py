@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .decompose import DisjointSet, OrbitPartition, DecompositionResult
+from .decompose import OrbitPartition, DecompositionResult
 from .perm import Permutation
 from .stabchain import (
     GroupHandle,
@@ -49,6 +49,40 @@ class RetryBudgetExhausted(RuntimeError):
 
 class ComputationTimeout(RuntimeError):
     """A cooperative deadline expired inside a long-running computation."""
+
+
+class DisjointSet:
+    """Union-find over 1..n with path compression and union by size."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n + 1))
+        self.size = [1] * (n + 1)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+    def groups(self) -> list[list[int]]:
+        out: dict[int, list[int]] = {}
+        for x in range(1, len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return sorted(out.values())
 
 
 @dataclass(frozen=True)

@@ -230,15 +230,6 @@ class Permutation:
         return f"Permutation[{format_cycles(self)}, degree={len(self._img)}]"
 
 
-def identity(degree: int) -> Permutation:
-    return Permutation.identity(degree)
-
-
-def compose(g: Permutation, h: Permutation) -> Permutation:
-    """p^(compose(g, h)) = (p^g)^h."""
-    return g * h
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like ``(1,2,3)(7,9,8)`` into a permutation.
 

@@ -129,6 +129,18 @@ class TestOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["cells"] == [[1], [2]]
 
+    def test_document_matches_fast_document(self, running_file, capsys):
+        main(["decompose", running_file])
+        fast = json.loads(capsys.readouterr().out)
+        main(["oracle", running_file])
+        oracle = json.loads(capsys.readouterr().out)
+        assert list(oracle) == list(fast)
+        assert [list(f) for f in oracle["factors"]] == [list(f) for f in fast["factors"]]
+        for key in ("orbits", "cells", "whole_order"):
+            assert oracle[key] == fast[key]
+        for key in ("support", "order"):
+            assert [f[key] for f in oracle["factors"]] == [f[key] for f in fast["factors"]]
+
     def test_cap_exit_code(self, tmp_path, capsys):
         path = tmp_path / "many.grp"
         gens = [parse_cycles(f"({2*i+1},{2*i+2})", 26) for i in range(13)]
@@ -174,6 +186,41 @@ class TestRandgenCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --") and err.count("\n") == 1
         assert not out.exists()
+
+
+class TestUsageErrors:
+    # every bad command line exits 1 with one "error:" line, never argparse's 2
+
+    def assert_one_error_line(self, capsys, argv, fragment=""):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_non_integer_reps(self, capsys):
+        self.assert_one_error_line(capsys, ["bench", "--task", "decompose", "--inner", "D8",
+                                            "--r", "2", "--s", "2", "--reps", "abc"], "--reps")
+
+    def test_missing_required_flag(self, tmp_path, capsys):
+        out = tmp_path / "out.grp"
+        self.assert_one_error_line(capsys, ["randgen", "--inner", "D8", "--r", "2", str(out)],
+                                   "--s")
+        assert not out.exists()
+
+    def test_no_subcommand(self, capsys):
+        self.assert_one_error_line(capsys, [])
+
+    def test_intransitive_inner_group_file(self, tmp_path, capsys):
+        inner, out = tmp_path / "F.grp", tmp_path / "out.grp"
+        write_group_file(str(inner), 4, [parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)])
+        self.assert_one_error_line(capsys, ["randgen", "--inner", str(inner), "--r", "2",
+                                            "--s", "2", str(out)], "transitive")
+        assert not out.exists()
+
+    def test_bad_family_parameter_is_named(self, tmp_path, capsys):
+        self.assert_one_error_line(capsys, ["randgen", "--inner", "D7", "--r", "2", "--s", "2",
+                                            str(tmp_path / "out.grp")], "dihedral order")
 
 
 class TestVerifyCommand:

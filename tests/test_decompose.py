@@ -7,6 +7,7 @@ from permdecomp import (
     InvariantViolation,
     OrbitPartition,
     Permutation,
+    RandomInstanceSpec,
     SeparableSGS,
     build_chain,
     compute_N_generators,
@@ -14,12 +15,14 @@ from permdecomp import (
     ddpd_step,
     decompose,
     decompose_handle,
-    find_cell,
     is_member,
-    orbit_ordered_handle,
     parse_cycles,
+    pointwise_stabilizer_level,
+    random_ddp_group,
     verify_separability,
 )
+from permdecomp.decompose import _first_moved_orbit
+from permdecomp.groups import by_name
 
 from oracles import brute_finest_partition, closure, tab
 
@@ -42,32 +45,32 @@ def random_group(rng, degree, ngens):
 
 class TestOrbitOrderedHandle:
     def test_running_example(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         assert h.chain.base == (1, 4, 5, 7)
         assert h.orbit_base_boundaries == (1, 3, 4, 4)
         assert tuple(h.chain.strong_generators) == tuple(running_gens())
 
     def test_transitive_group(self):
         gens = [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)]
-        h = orbit_ordered_handle(gens, 5)
+        h = GroupHandle.from_generators(gens, 5)
         assert h.orbit_structure.k == 1
         assert set(h.chain.base) <= {1, 2, 3, 4, 5}
         assert h.order == 120
 
     def test_trivial_group(self):
-        h = orbit_ordered_handle([], 6)
+        h = GroupHandle.from_generators([], 6)
         assert h.orbit_structure.k == 0 and h.chain.base == () and h.order == 1
 
 
 class TestComputeN:
     def test_running_example_level_two(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         n3 = compute_N_generators(h, 2)
         assert n3 and build_chain(n3, 12).order == 3
         assert all(g.support() <= {7, 8, 9} for g in n3)
 
     def test_running_example_level_three_trivial(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         assert compute_N_generators(h, 3) == []
 
     def test_full_direct_product_projects_everything(self):
@@ -75,48 +78,112 @@ class TestComputeN:
         # still projects onto the whole second constituent
         gens = [parse_cycles("(1,2,3)", 6), parse_cycles("(1,2)", 6),
                 parse_cycles("(4,5,6)", 6), parse_cycles("(4,5)", 6)]
-        h = orbit_ordered_handle(gens, 6)
+        h = GroupHandle.from_generators(gens, 6)
         n2 = compute_N_generators(h, 1)
         assert build_chain(n2, 6).order == 6
 
     def test_index_range(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         with pytest.raises(ValueError):
             compute_N_generators(h, 4)
 
 
-class TestFindCell:
+class TestSifteeCells:
+    # the cell a step assigns an element, as seen through SifteeRecord.cell
+
+    def stage_two_records(self):
+        # the running generators are a 2-separable strong generating set
+        h = GroupHandle.from_generators(running_gens(), 12)
+        sgs = SeparableSGS(tuple(running_gens()), 2)
+        records = []
+        out, _ = ddpd_step(h, 2, sgs, OrbitPartition([[1], [2]]),
+                           records_out=records, verify=True)
+        return {r.original: r.cell for r in records}, out
+
     def test_x1_at_stage_two(self):
-        h = orbit_ordered_handle(running_gens(), 12)
-        p2 = OrbitPartition([[1], [2]])
-        assert find_cell(running_gens()[0], p2, h.orbit_structure) == (1,)
+        cells, _ = self.stage_two_records()
+        assert cells[running_gens()[0]] == (1,)
 
     def test_x3_at_stage_two(self):
-        h = orbit_ordered_handle(running_gens(), 12)
-        p2 = OrbitPartition([[1], [2]])
-        assert find_cell(running_gens()[2], p2, h.orbit_structure) == (2,)
+        cells, _ = self.stage_two_records()
+        assert cells[running_gens()[2]] == (2,)
 
     def test_x3_at_stage_three(self):
-        h = orbit_ordered_handle(running_gens(), 12)
-        p3 = OrbitPartition([[1], [2, 3]])
-        assert find_cell(running_gens()[2], p3, h.orbit_structure, verify=True) == (2, 3)
+        h = GroupHandle.from_generators(running_gens(), 12)
+        sgs = SeparableSGS(h.chain.strong_generators, 1)
+        p = OrbitPartition.initial()
+        for i in (1, 2):
+            sgs, p = ddpd_step(h, i, sgs, p)
+        assert p == OrbitPartition([[1], [2, 3]])
+        records = []
+        ddpd_step(h, 3, sgs, p, records_out=records, verify=True)
+        x3 = running_gens()[2]
+        assert [r.cell for r in records if r.original == x3] == [(2, 3)]
 
-    def test_prefix_fixing_element_rejected(self):
-        h = orbit_ordered_handle(running_gens(), 12)
-        p2 = OrbitPartition([[1], [2]])
-        with pytest.raises(ValueError):
-            find_cell(running_gens()[3], p2, h.orbit_structure)
+    def test_prefix_fixing_element_passes_unsifted(self):
+        cells, out = self.stage_two_records()
+        x4 = running_gens()[3]
+        assert x4 not in cells
+        assert out.elements[3] == x4
+
+
+class TestFirstMovedBasePoint:
+    # the orbit of an element's first moved base point is the smallest
+    # orbit in its support, for strong generators and for every siftee
+
+    @staticmethod
+    def relabeled(handle, big, rng):
+        # the group moved onto random points of a larger degree, so base
+        # order, orbit order and point order all disagree
+        points = rng.sample(range(1, big + 1), handle.degree)
+        gens = []
+        for g in handle.generators:
+            images = list(range(1, big + 1))
+            for p in range(1, handle.degree + 1):
+                images[points[p - 1] - 1] = points[g.image(p) - 1]
+            gens.append(Permutation(images))
+        return GroupHandle.from_generators(gens, big)
+
+    @staticmethod
+    def smallest_orbit(x, structure):
+        return min((structure.orbit_of_point(p) for p in x.support()), default=None)
+
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
+    def test_rule_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
+        base_group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+        rng = random.Random(seed)
+        for big in (255, 256, 257):
+            h = self.relabeled(base_group, big, rng)
+            structure, base = h.orbit_structure, h.chain.base
+            assert len(base) > structure.k  # several base points per orbit
+            for x in h.chain.strong_generators:
+                assert _first_moved_orbit(x, base, structure) == self.smallest_orbit(x, structure)
+            sgs = SeparableSGS(h.chain.strong_generators, 1)
+            p = OrbitPartition.initial()
+            siftees = 0
+            for i in range(1, structure.k):
+                records = []
+                sgs, nxt = ddpd_step(h, i, sgs, p, records_out=records)
+                prefix_base = base[:pointwise_stabilizer_level(h, i) - 1]
+                for rec in records:
+                    j = self.smallest_orbit(rec.siftee, structure)
+                    assert _first_moved_orbit(rec.siftee, base, structure) == j
+                    assert _first_moved_orbit(rec.siftee, prefix_base, structure) == j <= i
+                    assert rec.cell == p.cell_of(j)
+                siftees += len(records)
+                p = nxt
+            assert siftees > 0
 
 
 class TestDdpdStep:
     def test_stage_one_splits_first_two_orbits(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         _, p2 = ddpd_step(h, 1, sgs, OrbitPartition.initial(), verify=True)
         assert p2 == OrbitPartition([[1], [2]])
 
     def test_stage_two_matches_walkthrough(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         sgs, p = ddpd_step(h, 1, sgs, OrbitPartition.initial())
         records = []
@@ -129,7 +196,7 @@ class TestDdpdStep:
         assert moved["(5,6)(8,9)(11,12)"] is True
 
     def test_stage_three_merges_last_orbit(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         p = OrbitPartition.initial()
         for i in (1, 2, 3):
@@ -137,13 +204,13 @@ class TestDdpdStep:
         assert p == OrbitPartition([[1], [2, 3, 4]])
 
     def test_stage_mismatch_rejected(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         with pytest.raises(ValueError):
             ddpd_step(h, 2, sgs, OrbitPartition.initial())
 
     def test_each_step_keeps_a_strong_generating_set(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         p = OrbitPartition.initial()
         for i in (1, 2, 3):
@@ -155,17 +222,17 @@ class TestDdpdStep:
 
 class TestVerifySeparability:
     def test_original_set_two_separable(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(tuple(running_gens()), 2)
         assert verify_separability(sgs, OrbitPartition([[1], [2]]), h.orbit_structure)
 
     def test_original_set_not_three_separable(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(tuple(running_gens()), 3)
         assert not verify_separability(sgs, OrbitPartition([[1], [2, 3]]), h.orbit_structure)
 
     def test_single_cell_always_separable(self):
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(tuple(running_gens()), 1)
         assert verify_separability(sgs, OrbitPartition.initial(), h.orbit_structure)
 
@@ -254,7 +321,7 @@ class TestDecompose:
 
     def test_monotone_refinement(self):
         # cells not merged at a step survive verbatim into the next partition
-        h = orbit_ordered_handle(running_gens(), 12)
+        h = GroupHandle.from_generators(running_gens(), 12)
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         p = OrbitPartition.initial()
         for i in (1, 2, 3):
