@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .decompose import DecompositionResult, decompose_handle
 from .oracle import (
+    DEFAULT_ORBIT_CAP,
     ComputationTimeout,
     OrbitCapExceeded,
     RandomInstanceSpec,
@@ -226,8 +227,8 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
 
         if task == "decompose":
             whole_time, whole_ok = _timed(
-                lambda dl: brute_force_decompose(handle, cap=max(12, spec.r * spec.s),
-                                                 deadline=dl),
+                lambda dl: brute_force_decompose(
+                    handle, cap=max(DEFAULT_ORBIT_CAP, spec.r * spec.s), deadline=dl),
                 time_limit)
             factor_time, factor_ok = None, True
         elif task == "derived":

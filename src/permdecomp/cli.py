@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .apps import run_benchmark, summarize
@@ -31,6 +32,7 @@ from .groupfile import (
 )
 from .groups import UnknownGroupName, by_name
 from .oracle import (
+    DEFAULT_ORBIT_CAP,
     OrbitCapExceeded,
     RandomInstanceSpec,
     RetryBudgetExhausted,
@@ -97,8 +99,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    cap = _positive("--cap", args.cap)
     handle = _load_handle(args.input)
-    partition = brute_force_decompose(handle, cap=args.cap, pairs_first=args.pairs_first)
+    partition = brute_force_decompose(handle, cap=cap, pairs_first=args.pairs_first)
     structure = handle.orbit_structure
     factors = []
     for cell in partition.cells:
@@ -166,6 +169,9 @@ def cmd_bench(args) -> int:
     rs = _positive_list("--r", args.r)
     ss = _positive_list("--s", args.s)
     _positive("--reps", args.reps)
+    if not (math.isfinite(args.time_limit) and args.time_limit > 0):
+        raise UsageError(f"--time-limit must be a positive finite number of seconds, "
+                         f"got {args.time_limit}")
     inner = _inner_group(args.inner)
     rows = []
     for r in rs:
@@ -223,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decompose by brute force (baseline)")
     p.add_argument("input", help="group file")
-    p.add_argument("--cap", type=int, default=12, help="maximum orbit count (default 12)")
+    p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP,
+                   help=f"maximum orbit count (default {DEFAULT_ORBIT_CAP})")
     p.add_argument("--pairs-first", action="store_true",
                    help="glue indecomposable orbit pairs before the bipartition search")
     p.set_defaults(fn=cmd_oracle)

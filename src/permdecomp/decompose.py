@@ -71,10 +71,6 @@ class OrbitPartition:
     def initial(cls) -> "OrbitPartition":
         return cls(((1,),))
 
-    @classmethod
-    def singletons(cls, k: int) -> "OrbitPartition":
-        return cls(tuple((i,) for i in range(1, k + 1)))
-
     @property
     def max_index(self) -> int:
         return max((cell[-1] for cell in self.cells), default=0)

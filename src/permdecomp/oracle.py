@@ -6,14 +6,16 @@ bipartitions of the orbit set in order of increasing size of the smaller
 part, recurse into the halves of the first valid split, and declare a set
 of orbits indecomposable when no bipartition is valid.
 
-Validity of a candidate split rests on an order argument.  The group H
+Every candidate split is decided by one membership criterion.  The group H
 restricted to a union of orbits C is a subdirect product of its restrictions
-to the two halves, and a subdirect product of A x B equals A x B exactly
-when 1 x B is contained in it.  Counting gives |H|_C| = |H|_T| * |K| where K
-is the kernel of the projection onto the half T, and K is contained in
-1 x H|_{C\\T}; so the split is a direct product iff
-|H|_C| = |H|_T| * |H|_{C\\T}|.  Checking three orders replaces any explicit
-subgroup containment test.
+A = H|_T and B = H|_{C\\T} to the two halves, and a subdirect product of
+A x B equals A x B exactly when A x 1 is contained in it.  A x 1 is
+generated by the generators of H|_C restricted to T, so the split holds iff
+each of those restrictions sifts through an exact chain of H|_C.  The
+pairs-first pass asks the same question of each two-orbit restriction.
+:func:`verify_decomposition` keeps the order argument (the cell restriction
+orders multiply to |H|) on fresh chains, as a check independent of the
+search.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from typing import Sequence
 
 from .decompose import OrbitPartition, DecompositionResult
 from .perm import Permutation
-from .stabchain import (
-    GroupHandle,
-    OrderBoundExceeded,
-    build_chain,
-    is_member,
-    random_element,
-)
+from .stabchain import GroupHandle, build_chain, is_member, random_element
 
 DEFAULT_ORBIT_CAP = 12
 DEFAULT_RETRY_BUDGET = 1000
@@ -122,58 +118,40 @@ def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[li
     return gens, support
 
 
-def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int],
-                      cache: dict | None = None) -> int:
+def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
     """Order of the restriction of the group to the union of the given
     orbits, computed by a fresh chain on the restricted generators."""
-    key = frozenset(orbit_indices)
-    if cache is not None and key in cache:
-        return cache[key]
-    gens, support = _restricted_generators(handle, key)
-    order = build_chain(gens, handle.degree, support).order
-    if cache is not None:
-        cache[key] = order
-    return order
+    gens, support = _restricted_generators(handle, frozenset(orbit_indices))
+    return build_chain(gens, handle.degree, support).order
 
 
-def _restriction_order_equals(handle: GroupHandle, orbit_indices: Sequence[int],
-                              target: int, cache: dict) -> bool:
-    """Whether the restriction order equals ``target``.
-
-    The restriction order can only be >= target in the contexts where this
-    is called, so a partial chain whose transversal product exceeds the
-    target settles the question without a full verification sweep."""
-    key = frozenset(orbit_indices)
-    if key in cache:
-        return cache[key] == target
-    gens, support = _restricted_generators(handle, key)
-    try:
-        order = build_chain(gens, handle.degree, support, abort_above=target).order
-    except OrderBoundExceeded:
-        return False
-    cache[key] = order
-    return order == target
+def _node(handle: GroupHandle, key: frozenset[int]):
+    """The restriction of the group to the orbit subset ``key``: its
+    generators, each with its support, and an exact chain."""
+    if len(key) == handle.orbit_structure.k:
+        gens, chain = handle.generators, handle.chain
+        support = handle.orbit_structure.support()
+    else:
+        gens, support = _restricted_generators(handle, key)
+        chain = build_chain(gens, handle.degree, support)
+    # supports read over the node's own points, not all of 1..degree
+    profile = [(g, frozenset(p for p in support if g._img[p - 1] != p - 1)) for g in gens]
+    return profile, chain
 
 
-def _node_chain(handle: GroupHandle, key: frozenset[int], cache: dict):
-    """Exact chain and generator/support profile for the restriction to an
-    orbit subset, memoized per subset across the brute-force recursion."""
-    entry = cache.get(("node", key))
-    if entry is None:
-        if key == frozenset(range(1, handle.orbit_structure.k + 1)):
-            gens = list(handle.generators)
-            chain = handle.chain
-        else:
-            gens, support = _restricted_generators(handle, key)
-            chain = build_chain(gens, handle.degree, support)
-        entry = ([(g, g.support()) for g in gens], chain)
-        cache[("node", key)] = entry
-        cache[key] = chain.order
-    return entry
+def _splits(profile, chain, left_support: frozenset[int]) -> bool:
+    """Whether the node group H|_C is H|_T x H|_{C\\T} for T = left_support:
+    every generator moving points on both sides, restricted to T, lies in
+    H|_C."""
+    for g, gsup in profile:
+        if gsup <= left_support or not (gsup & left_support):
+            continue
+        if not is_member(chain, g.restrict(left_support)):
+            return False
+    return True
 
 
-def verify_decomposition(handle: GroupHandle, partition: OrbitPartition,
-                         cache: dict | None = None) -> bool:
+def verify_decomposition(handle: GroupHandle, partition: OrbitPartition) -> bool:
     """True iff the partition's cells give a direct product decomposition:
     the per-cell restriction orders multiply to the group order."""
     k = handle.orbit_structure.k
@@ -182,7 +160,7 @@ def verify_decomposition(handle: GroupHandle, partition: OrbitPartition,
         raise ValueError(f"partition does not cover orbit indices 1..{k}")
     product = 1
     for cell in partition.cells:
-        product *= restriction_order(handle, cell, cache)
+        product *= restriction_order(handle, cell)
         if product > handle.order:
             return False
     return product == handle.order
@@ -195,39 +173,34 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
     baseline the fast algorithm is compared against).
 
     ``pairs_first`` enables the classic improvement of first gluing together
-    orbit pairs whose 2-orbit restriction is indecomposable.  ``deadline``
-    is a time.monotonic() value after which ComputationTimeout is raised.
+    orbit pairs whose 2-orbit restriction is indecomposable, decided by the
+    same split test as a bipartition.  ``deadline`` is a time.monotonic()
+    value after which ComputationTimeout is raised.
     """
     k = handle.orbit_structure.k
     if k > cap:
         raise OrbitCapExceeded(f"{k} orbits exceeds the configured cap {cap}")
     if k == 0:
         return OrbitPartition(())
-    cache: dict = {}
+    structure = handle.orbit_structure
 
     units: list[tuple[int, ...]]
     if pairs_first:
         dsu = DisjointSet(k)
         for a, b in combinations(range(1, k + 1), 2):
-            split_order = (restriction_order(handle, (a,), cache)
-                           * restriction_order(handle, (b,), cache))
-            if not _restriction_order_equals(handle, (a, b), split_order, cache):
+            if not _splits(*_node(handle, frozenset((a, b))), frozenset(structure.orbit(a))):
                 dsu.union(a, b)
         units = [tuple(g) for g in dsu.groups()]
     else:
         units = [(j,) for j in range(1, k + 1)]
-
-    structure = handle.orbit_structure
 
     def split(current: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
         indices = tuple(sorted(x for unit in current for x in unit))
         if len(current) == 1:
             return [indices]
         # one exact chain per recursion node; every candidate bipartition is
-        # then a handful of membership sifts: the split H|_C = H|_T x H|_C\T
-        # holds iff each node generator restricted to T's support stays in
-        # the node group
-        profile, chain = _node_chain(handle, frozenset(indices), cache)
+        # then a handful of membership sifts
+        profile, chain = _node(handle, frozenset(indices))
         for size in range(1, len(current) // 2 + 1):
             for chosen in combinations(range(len(current)), size):
                 if deadline is not None and time.monotonic() > deadline:
@@ -238,12 +211,7 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
                     continue
                 left_support = frozenset(p for idx in chosen
                                          for j in current[idx] for p in structure.orbit(j))
-                for g, gsup in profile:
-                    if gsup <= left_support or not (gsup & left_support):
-                        continue
-                    if not is_member(chain, g.restrict(left_support)):
-                        break
-                else:
+                if _splits(profile, chain, left_support):
                     chosen_set = set(chosen)
                     picked = tuple(current[idx] for idx in chosen)
                     rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)
@@ -297,8 +265,7 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
         structure = candidate.orbit_structure
         if structure.k != s or any(structure.orbit(b + 1) != blocks[b] for b in range(s)):
             continue
-        cache: dict = {}
-        if any(restriction_order(candidate, (b,), cache) != target for b in range(1, s + 1)):
+        if any(restriction_order(candidate, (b,)) != target for b in range(1, s + 1)):
             continue
         if not is_ddp_indecomposable(candidate, cap=max(DEFAULT_ORBIT_CAP, s)):
             continue

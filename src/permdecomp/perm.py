@@ -154,9 +154,6 @@ class Permutation:
             inv[x] = i
         return Permutation._make(tuple(inv))
 
-    def __invert__(self) -> "Permutation":
-        return self.inverse()
-
     def conjugate(self, s: "Permutation") -> "Permutation":
         """Return s^-1 * self * s.
 

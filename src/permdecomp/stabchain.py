@@ -114,11 +114,6 @@ def compute_orbits(generators: Sequence[Permutation], degree: int) -> OrbitStruc
     return OrbitStructure(degree, orbits, fixed)
 
 
-class OrderBoundExceeded(RuntimeError):
-    """Chain construction stopped early: the partial transversal product
-    already exceeds the caller's bound, so the group is strictly larger."""
-
-
 class TransversalLevel:
     """One level of a stabilizer chain.
 
@@ -145,10 +140,6 @@ class TransversalLevel:
         if inverse_tables is None:
             inverse_tables = {q - 1: r.inverse()._table() for q, r in coset_reps.items()}
         self._inv0 = inverse_tables
-
-    @property
-    def basic_orbit(self) -> frozenset[int]:
-        return frozenset(self.coset_reps)
 
     def __repr__(self) -> str:
         return f"TransversalLevel(base_point={self.base_point}, orbit_size={len(self.coset_reps)})"
@@ -210,19 +201,13 @@ def _dedup_generators(generators: Iterable[Permutation]) -> list[Permutation]:
 
 
 def build_chain(generators: Sequence[Permutation], degree: int,
-                candidates: Sequence[int] | None = None,
-                abort_above: int | None = None) -> StabilizerChain:
+                candidates: Sequence[int] | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims over a prescribed base-candidate sequence.
 
     ``candidates`` defaults to 1..degree, which realizes the "smallest moved
     point" base policy.  Passing the concatenation of the group's orbits
     gives an orbit-ordered base (see :func:`orbit_ordered_candidates`).
     Candidates must cover the support of the group.
-
-    With ``abort_above`` set, construction raises OrderBoundExceeded as soon
-    as the partial transversal product (a lower bound on the group order)
-    exceeds that value.  This turns "is the order larger than N" into a
-    cheap test that usually skips the verification sweep entirely.
     """
     gens = _dedup_generators(generators)
     for g in gens:
@@ -315,22 +300,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         strong.append(g)
         attach(g, 0)
 
-    def check_bound() -> None:
-        if abort_above is None:
-            return
-        product = 1
-        for node in nodes:
-            if node.pts:
-                product *= len(node.pts)
-        if product > abort_above:
-            raise OrderBoundExceeded(f"partial order {product} exceeds {abort_above}")
-
-    if abort_above is not None:
-        # transversals alone often witness the bound, skipping the sweep
-        for node in nodes:
-            extend_orbit(node)
-        check_bound()
-
     # verify levels bottom-up; on adding a residue at levels t+1..j, jump to
     # j and re-descend.  Only Schreier pairs not previously checked are
     # sifted, so the total work is bounded by the final orbit x gens counts.
@@ -376,7 +345,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 attach(residue, t + 1)
                 for l in range(t + 1, j + 1):
                     extend_orbit(nodes[l])
-                check_bound()
                 restart = j
                 break
             if restart is not None:
@@ -501,12 +469,6 @@ class GroupHandle:
     @property
     def order(self) -> int:
         return self.chain.order
-
-    def is_member(self, g: Permutation) -> bool:
-        return is_member(self.chain, g)
-
-    def random_element(self, rng: random.Random) -> Permutation:
-        return random_element(self.chain, rng)
 
     def __repr__(self) -> str:
         return (f"GroupHandle(degree={self.degree}, orbits={self.orbit_structure.k}, "

@@ -148,6 +148,16 @@ class TestOracleCommand:
         assert main(["oracle", str(path)]) == 3
         assert main(["oracle", "--cap", "13", str(path)]) == 0
 
+    def test_pairs_first_writes_the_same_document(self, tmp_path, capsys):
+        path = tmp_path / "inst.grp"
+        assert main(["randgen", "--inner", "A4", "--r", "2", "--s", "3",
+                     "--seed", "1", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["oracle", "--pairs-first", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestRandgenCommand:
     def test_deterministic(self, tmp_path):
@@ -221,6 +231,16 @@ class TestUsageErrors:
     def test_bad_family_parameter_is_named(self, tmp_path, capsys):
         self.assert_one_error_line(capsys, ["randgen", "--inner", "D7", "--r", "2", "--s", "2",
                                             str(tmp_path / "out.grp")], "dihedral order")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_cap(self, running_file, capsys, cap):
+        self.assert_one_error_line(capsys, ["oracle", "--cap", cap, running_file], "--cap")
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan", "inf"])
+    def test_time_limit_not_positive_finite(self, capsys, limit):
+        self.assert_one_error_line(capsys, ["bench", "--task", "decompose", "--inner", "D8",
+                                            "--r", "2", "--s", "2", "--time-limit", limit],
+                                   "--time-limit")
 
 
 class TestVerifyCommand:

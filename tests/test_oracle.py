@@ -9,6 +9,7 @@ from permdecomp import (
     OrbitPartition,
     Permutation,
     RandomInstanceSpec,
+    alternating,
     brute_force_decompose,
     cyclic,
     decompose,
@@ -73,9 +74,21 @@ class TestBruteForce:
         assert len(brute_force_decompose(h, cap=13).cells) == 13
 
     def test_pairs_first_agrees(self):
-        for seed in (1, 2, 3):
-            H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 2, 2, seed))
-            assert brute_force_decompose(H, pairs_first=True) == expected
+        for inner, s, seed in [(dihedral(8), 2, 1), (dihedral(8), 2, 2), (dihedral(8), 2, 3),
+                               (cyclic(2), 4, 2), (alternating(4), 3, 1), (symmetric(4), 3, 2)]:
+            H, expected = random_ddp_group(RandomInstanceSpec(inner, 2, s, seed))
+            glued = brute_force_decompose(H, pairs_first=True)
+            assert glued == expected == brute_force_decompose(H, pairs_first=False)
+            assert verify_decomposition(H, glued)
+
+    @pytest.mark.parametrize("pairs_first", [False, True])
+    def test_pairwise_products_without_a_split(self, pairs_first):
+        # every two-orbit restriction is the full C2 x C2, so the pairs pass
+        # glues nothing, yet the order-4 group does not split
+        h = GroupHandle.from_generators(
+            [parse_cycles("(1,2)(3,4)", 6), parse_cycles("(3,4)(5,6)", 6)], 6)
+        assert all(restriction_order(h, pair) == 4 for pair in ((1, 2), (1, 3), (2, 3)))
+        assert brute_force_decompose(h, pairs_first=pairs_first) == OrbitPartition([[1, 2, 3]])
 
     def test_deadline(self):
         H, _ = random_ddp_group(RandomInstanceSpec(symmetric(4), 3, 3, seed=1))
