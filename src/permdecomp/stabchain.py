@@ -11,7 +11,10 @@ points on demand cannot guarantee this: a residue discovered late may move
 an earlier orbit after later-orbit base points already exist.
 
 Redundant candidates (whose basic orbit stays a singleton) are dropped from
-the published chain, so bases are always non-redundant.
+the published chain, so bases are always non-redundant.  Most candidates are
+redundant, so the builder reads every image in candidate order (see
+:func:`build_chain`) and finds the next candidate an element moves by slice
+comparisons instead of visiting each candidate in turn.
 
 After construction a chain is immutable; orders are plain Python ints and
 therefore arbitrary precision.
@@ -171,13 +174,15 @@ class StabilizerChain:
 
 class _Node:
     # builder-internal level for one prescribed candidate point
-    __slots__ = ("p0", "gens", "reps", "inv", "tree_edge", "pts",
+    __slots__ = ("p0", "gens", "reps", "srep", "inv", "tree_edge", "pts",
                  "checked_pts", "checked_gens", "exp_pts", "exp_gens")
 
     def __init__(self, p0: int):
         self.p0 = p0                      # 0-based point
         self.gens: list[Permutation] = []
         self.reps: dict[int, Permutation] = {}   # 0-based point -> rep
+        # 0-based point -> the image of sigma * rep (see build_chain)
+        self.srep: dict[int, object] = {}
         # 0-based point -> the inverse rep's _table(), the right operand
         # of the raw product
         self.inv: dict[int, object] = {}
@@ -207,55 +212,73 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     ``candidates`` defaults to 1..degree, which realizes the "smallest moved
     point" base policy.  Passing the concatenation of the group's orbits
     gives an orbit-ordered base (see :func:`orbit_ordered_candidates`).
-    Candidates must cover the support of the group.
+    Candidates must be distinct points of 1..degree and cover the support
+    of the group; ``ValueError`` names an out-of-range candidate, or the
+    smallest moved point outside the candidates.
+
+    The sweep reads images in candidate order: with sigma the permutation
+    listing the candidates first and then the other points, it carries
+    sigma * g in place of g, whose position i is the image of candidate i.
+    The next candidate g moves is the first position where that image
+    differs from sigma's own, found by slice comparisons, so sifting
+    composes only at moved candidates and skips the fixed ones in C.  A
+    residue x is mapped back from sigma * x only when it joins the strong
+    generators; the published chain is in the original points.
     """
     gens = _dedup_generators(generators)
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    if candidates is None:
-        candidates = range(1, degree + 1)
-    cand0 = [c - 1 for c in candidates]
-    if len(set(cand0)) != len(cand0):
+    candidates = list(range(1, degree + 1) if candidates is None else candidates)
+    if candidates and (min(candidates) < 1 or max(candidates) > degree):
+        bad = next(c for c in candidates if not 1 <= c <= degree)
+        raise ValueError(f"base candidate {bad} out of range 1..{degree}")
+    chosen = set(candidates)
+    if len(chosen) != len(candidates):
         raise ValueError("duplicate base candidates")
-
-    covered = set(cand0)
-    for g in gens:
-        for p in g.support():
-            if p - 1 not in covered:
-                raise ValueError(f"candidates do not cover moved point {p}")
-
-    nodes = [_Node(c) for c in cand0]
-    nnodes = len(nodes)
+    sigma = Permutation(candidates + [p for p in range(1, degree + 1) if p not in chosen])
+    sigma_inv = sigma.inverse()
+    sig = sigma._img
+    nnodes = len(candidates)
+    nodes = [_Node(c - 1) for c in candidates]
     strong: list[Permutation] = []
     identity = Permutation.identity(degree)
     # the sweep runs on raw images with the degree's product, allocating a
     # Permutation only for a residue that joins the strong generators
     compose = Permutation._composer(degree)
-    id_img = identity._img
 
-    def first_moved_index(g: Permutation) -> int:
-        img = g._img
-        for i, c in enumerate(cand0):
-            if img[c] != c:
-                return i
-        raise AssertionError("identity attached to the chain")
+    def next_moved(v, t: int) -> int:
+        # the first candidate index >= t whose image v changes, else nnodes;
+        # the binary search keeps a differing position inside [t, hi)
+        hi = nnodes
+        if v[t:hi] == sig[t:hi]:
+            return hi
+        if v[t] != sig[t]:
+            return t
+        while hi - t > 1:
+            mid = (t + hi) >> 1
+            if v[t:mid] == sig[t:mid]:
+                t = mid
+            else:
+                hi = mid
+        return t
 
-    def attach(g: Permutation, lo: int) -> int:
-        hi = first_moved_index(g)
+    def attach(g: Permutation, lo: int, hi: int) -> None:
+        # hi is the index of the first candidate g moves
         for t in range(lo, hi + 1):
             nodes[t].gens.append(g)
-        return hi
 
     def extend_orbit(node: _Node) -> None:
         # grow the basic orbit in place; discovery order is stable so the
         # checked-pair and expansion bookkeeping stays valid
         reps = node.reps
+        srep = node.srep
         inv = node.inv
         tree_edge = node.tree_edge
         pts = node.pts
         if not reps:
             reps[node.p0] = identity
+            srep[node.p0] = sig
             inv[node.p0] = identity._table()
             pts.append(node.p0)
         gens_local = node.gens
@@ -275,6 +298,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 if q not in reps:
                     rq = rp * g
                     reps[q] = rq
+                    srep[q] = compose(srep[p], g._table())
                     inv[q] = rq.inverse()._table()
                     tree_edge[q] = (p, gi)
                     pts.append(q)
@@ -282,23 +306,23 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         node.exp_pts = len(pts)
         node.exp_gens = ngens
 
-    def strip(img, start: int) -> tuple[object, int]:
-        t = start
-        while t < nnodes:
-            node = nodes[t]
-            p0 = node.p0
-            q = img[p0]
-            if q != p0:
-                tbl = node.inv.get(q)
-                if tbl is None:
-                    return img, t
-                img = compose(img, tbl)
+    def strip(v, t: int) -> tuple[object, int]:
+        # v is sigma * x: position t holds the image of candidate t under x
+        while (t := next_moved(v, t)) < nnodes:
+            tbl = nodes[t].inv.get(v[t])
+            if tbl is None:
+                break
+            v = compose(v, tbl)
             t += 1
-        return img, nnodes
+        return v, t
 
     for g in gens:
+        v = compose(sig, g._table())
+        if v[nnodes:] != sig[nnodes:]:
+            p = min(set().union(*(h.support() for h in gens)) - chosen)
+            raise ValueError(f"candidates do not cover moved point {p}")
         strong.append(g)
-        attach(g, 0)
+        attach(g, 0, next_moved(v, 0))
 
     # verify levels bottom-up; on adding a residue at levels t+1..j, jump to
     # j and re-descend.  Only Schreier pairs not previously checked are
@@ -317,7 +341,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         restart = None
         pts = node.pts
         gens_local = node.gens
-        reps = node.reps
+        srep = node.srep
         inv = node.inv
         tree_edge = node.tree_edge
         while node.checked_pts < len(pts) or node.checked_gens < len(gens_local):
@@ -334,15 +358,15 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 q = s._img[p]
                 if tree_edge.get(q) == (p, g_i):
                     continue
-                prod = compose(reps[p]._img, s._table())
-                if prod == reps[q]._img:
+                prod = compose(srep[p], s._table())
+                if prod == srep[q]:
                     continue
-                res_img, j = strip(compose(prod, inv[q]), t + 1)
-                if res_img == id_img:
+                res, j = strip(compose(prod, inv[q]), t + 1)
+                if j == nnodes:  # fixes every candidate, which cover the support
                     continue
-                residue = Permutation._make(res_img)
+                residue = sigma_inv * Permutation._make(res)
                 strong.append(residue)
-                attach(residue, t + 1)
+                attach(residue, t + 1, j)
                 for l in range(t + 1, j + 1):
                     extend_orbit(nodes[l])
                 restart = j

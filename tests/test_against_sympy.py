@@ -1,0 +1,72 @@
+"""Chains checked against sympy's independent Schreier-Sims.
+
+sympy is a test-only dependency: without it this module is skipped.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permdecomp import Permutation, build_chain, is_member
+
+combinatorics = pytest.importorskip("sympy.combinatorics")
+
+
+def to_sympy(g):
+    return combinatorics.Permutation([g.image(p) - 1 for p in range(1, g.degree + 1)])
+
+
+def on_points(points, images, degree):
+    """The permutation sending points[i] to points[images[i]], fixing the rest."""
+    table = list(range(1, degree + 1))
+    for p, i in zip(points, images):
+        table[p - 1] = points[i]
+    return Permutation(table)
+
+
+@st.composite
+def groups(draw):
+    """A small group relabelled onto random points of a degree on either
+    side of the bytes/tuple boundary, a candidate sequence that covers its
+    support in shuffled order with some fixed points mixed in, and elements
+    to test: words in the generators and permutations of the support."""
+    degree = draw(st.sampled_from([255, 256, 257]) | st.integers(3, 300))
+    k = draw(st.integers(2, min(degree - 1, 7)))
+    points = draw(st.permutations(range(1, degree + 1)))[:k + 3]
+    support, spare = points[:k], points[k:]
+    local = st.permutations(range(k))
+    gens = [on_points(support, images, degree)
+            for images in draw(st.lists(local, min_size=1, max_size=3))]
+    candidates = draw(st.permutations(support + spare[:draw(st.integers(1, len(spare)))]))
+    words = draw(st.lists(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=6),
+                          min_size=1, max_size=4))
+    others = [on_points(support, images, degree)
+              for images in draw(st.lists(local, min_size=1, max_size=4))]
+    return degree, gens, candidates, words, others
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups())
+def test_chain_agrees_with_sympy(case):
+    degree, gens, candidates, words, others = case
+    chain = build_chain(gens, degree, candidates)
+    group = combinatorics.PermutationGroup([to_sympy(g) for g in gens])
+    assert chain.order == group.order()
+
+    members = []
+    for word in words:
+        x = Permutation.identity(degree)
+        for i in word:
+            x = x * gens[i]
+        members.append(x)
+    for x in members:
+        assert is_member(chain, x)
+    for x in members + others:
+        assert is_member(chain, x) == group.contains(to_sympy(x))
+    if len(candidates) < degree:
+        # a transposition reaching a point no generator moves is never a member
+        outside = next(p for p in range(1, degree + 1) if p not in set(candidates))
+        x = Permutation.from_cycles([(candidates[0], outside)], degree)
+        assert not is_member(chain, x) and not group.contains(to_sympy(x))
+
+    positions = [candidates.index(b) for b in chain.base]
+    assert positions == sorted(positions)

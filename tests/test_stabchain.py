@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,14 +6,17 @@ import pytest
 from permdecomp import (
     GroupHandle,
     Permutation,
+    RandomInstanceSpec,
     StabilizerChain,
     TransversalLevel,
     build_chain,
+    by_name,
     compute_orbits,
     is_member,
     orbit_ordered_candidates,
     parse_cycles,
     pointwise_stabilizer_level,
+    random_ddp_group,
     random_element,
     sift,
 )
@@ -127,6 +131,79 @@ class TestBuildChain:
         g = parse_cycles("(260,261,262)", 300)
         chain = build_chain([g], 300)
         assert chain.order == 3 and chain.base == (260,)
+
+
+class TestBuildChainContract:
+    @pytest.mark.parametrize("candidates", [[0, 1, 2, 3], [1, 2, 3, 5], [1, 2, 3, 9]],
+                             ids=["zero", "degree+1", "far-above"])
+    def test_candidate_outside_the_points_raises(self, candidates):
+        g = Permutation.from_cycles([(1, 2, 3)], 4)
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            build_chain([g], 4, candidates)
+
+    def test_duplicate_candidates_raise(self):
+        g = Permutation.from_cycles([(1, 2, 3)], 4)
+        with pytest.raises(ValueError, match="duplicate"):
+            build_chain([g], 4, [1, 2, 2, 3])
+
+    def test_uncovered_moved_point_names_the_smallest(self):
+        # the first generator leaves 5 uncovered, the second 3 and 7
+        gens = [parse_cycles("(1,2)(5,6)", 8), parse_cycles("(3,4,7)", 8)]
+        with pytest.raises(ValueError, match=r"moved point 3$"):
+            build_chain(gens, 8, [1, 2, 6, 4])
+
+    def test_fixed_candidates_are_allowed_and_dropped(self):
+        chain = build_chain([parse_cycles("(2,4)", 5)], 5, [5, 4, 1, 2, 3])
+        assert chain.base == (4,) and chain.order == 2
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
+
+
+class TestDeterminism:
+    """Chains pinned to the output of the builder that walked every candidate:
+    the base, the strong generators in order and hence the transversals."""
+
+    @pytest.mark.parametrize("orbit_order, base, added", [
+        (None, (1, 4, 5, 7), []),
+        ((4, 3, 2, 1), (10, 11, 4, 1), ["(4,6,5)", "(1,3,2)"]),
+        ((3, 4, 1, 2), (7, 8, 1, 4), ["(4,6,5)", "(1,3,2)(4,6,5)"]),
+    ], ids=["orbits-1234", "orbits-4321", "orbits-3412"])
+    def test_running_example(self, orbit_order, base, added):
+        chain = GroupHandle.from_generators(running_gens(), 12, orbit_order).chain
+        assert chain.base == base
+        assert [str(x) for x in chain.strong_generators] == RUNNING + added
+
+    def test_running_example_reversed_candidates(self):
+        chain = build_chain(running_gens(), 12, range(12, 0, -1))
+        assert chain.base == (12, 11, 6, 3)
+        assert [str(x) for x in chain.strong_generators] == RUNNING + [
+            "(1,3,2)(5,6)(7,8)(10,11)", "(1,2,3)", "(4,6,5)"]
+
+    # (r, degree, order, orbit-ordered chain, chain on 1..degree), each chain
+    # as (strong generator count, digest of their cycle strings, base digest)
+    @pytest.mark.parametrize("r, degree, order, orbit_ordered, smallest_moved", [
+        (21, 252, 664613997892457936451903530140172288,
+         (122, "1bb143b82b58573c01b9c77bc104b4b9487c22e82a8726a2fad2bb528ca2516f",
+          "7a13e05ee222686fd5f8bca2b72363d87b6019af124932fd843c2e31b01ed8e3"),
+         (122, "efe8c9f2ee16b5f25894eb9565259d47b885270754e909517f2c8e5b611652be",
+          "53b7c1c7ec89bcce28fcfa78646f13938592750245cd9b4457008f739ebc297a")),
+        (22, 264, 42535295865117307932921825928971026432,
+         (125, "7cb113226c7ae7cbf44c5d0958a31d95c9d49475b6c3fec09b508a6f99ab70ef",
+          "08edaa647fe03f4b96aeb95eb25e866ab80357262392ebcae3cb0a9a1f6e4885"),
+         (121, "18ce55522ccb712774b1f522676c9e5f9280d4296e938ad9f8b39cdebc8f8bfd",
+          "b28611adfb0b90a8b29409c691b6a9bb0e9cf9358b5eb8e37d65d0142e13a5d3")),
+    ], ids=["degree-252-bytes", "degree-264-tuples"])
+    def test_random_instances_across_the_bytes_tuple_boundary(
+            self, r, degree, order, orbit_ordered, smallest_moved):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 3, seed=1))
+        assert group.degree == degree
+        chains = (group.chain, build_chain(group.generators, degree))
+        for chain, expected in zip(chains, (orbit_ordered, smallest_moved)):
+            assert chain.order == order
+            assert (len(chain.strong_generators), _sha(chain.strong_generators),
+                    _sha([",".join(map(str, chain.base))])) == expected
 
 
 def pinned_d10_chain(rep2):
