@@ -108,7 +108,7 @@ def cmd_oracle(args) -> int:
         support = tuple(sorted(p for j in cell for p in structure.orbit(j)))
         restricted = {g.restrict(support) for g in handle.generators}
         gens = tuple(sorted((g for g in restricted if not g.is_identity()), key=format_cycles))
-        factors.append(Factor(cell, support, gens, restriction_order(handle, cell), handle=None))
+        factors.append(Factor(cell, support, gens, restriction_order(handle, cell)))
     result = DecompositionResult(handle.degree, partition, tuple(factors),
                                  structure.fixed_points, handle.order, structure)
     sys.stdout.write(dump_document(decomposition_document(result, method="oracle")))

@@ -22,13 +22,22 @@ stabilizer of the candidates before it (Seress 2003, section 4).  So the
 orbit of the first base point an element moves is the smallest orbit it
 moves: an element fixing the prefix's base points fixes the prefix, and
 otherwise that orbit names its cell.  The rule holds only for elements of
-the group; :func:`verify_separability` reads supports instead, so the check
-does not lean on it.
+the group.
+
+Each decomposition ends with one certificate, :func:`verify_separability` on the
+final strong generating set, which reads supports, not the base: if each
+element of a generating set acts inside one cell, the cells carry a direct
+product.  Factor orders are read off the chain: a level stabilizer of A x B
+splits, so the base points lying in a cell form a base of that factor, whose
+order is the product of the basic orbit sizes at those levels.
+:attr:`Factor.handle`, the factor's own chain, is built only on demand;
+``verify=True`` builds it and checks that the orders agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .perm import Permutation
@@ -119,8 +128,12 @@ class Factor:
     support: tuple[int, ...]
     generators: tuple[Permutation, ...]
     order: int
-    # None when no chain was built for the factor, as in oracle documents
-    handle: GroupHandle | None = field(repr=False, compare=False)
+
+    @cached_property
+    def handle(self) -> GroupHandle:
+        """The factor's own group handle, built from ``generators`` on first
+        use.  A factor acts on at least one orbit, so it has a generator."""
+        return GroupHandle.from_generators(self.generators, self.generators[0].degree)
 
 
 @dataclass(frozen=True)
@@ -140,9 +153,7 @@ def compute_N_generators(handle: GroupHandle, i: int) -> list[Permutation]:
     """Generators for the projection onto orbit i+1 of the pointwise
     stabilizer of orbits 1..i: the strong generators fixing that orbit
     prefix, restricted to orbit i+1."""
-    k = handle.orbit_structure.k
-    if not 1 <= i < k:
-        raise ValueError(f"orbit prefix index {i} out of range 1..{k - 1}")
+    _check_step_index(handle, i)
     level = pointwise_stabilizer_level(handle, i)
     if level > len(handle.chain.levels):
         return []
@@ -153,6 +164,12 @@ def compute_N_generators(handle: GroupHandle, i: int) -> list[Permutation]:
         if not r.is_identity():
             out.append(r)
     return out
+
+
+def _check_step_index(handle: GroupHandle, i: int) -> None:
+    k = handle.orbit_structure.k
+    if not 1 <= i < k:
+        raise ValueError(f"orbit prefix index {i} out of range 1..{k - 1}")
 
 
 def _first_moved_orbit(x: Permutation, base: Sequence[int],
@@ -179,6 +196,7 @@ def ddpd_step(handle: GroupHandle, i: int, sgs: SeparableSGS, partition: OrbitPa
     sifted by the prefix stabilizer (the chain tail), and a siftee moving
     orbit i+1 marks its cell for merging with {i+1}.
     """
+    _check_step_index(handle, i)
     if sgs.separability_index != i or partition.max_index != i:
         raise ValueError("separability index and partition must both be at stage i")
     structure = handle.orbit_structure
@@ -244,34 +262,30 @@ def decompose_handle(handle: GroupHandle, verify: bool = False) -> Decomposition
     partition = OrbitPartition.initial()
     for i in range(1, k):
         sgs, partition = ddpd_step(handle, i, sgs, partition, verify=verify)
+    if not verify_separability(sgs, partition, structure):
+        raise InvariantViolation(f"final SGS not {k}-separable: the cells carry no direct product")
 
-    # the final SGS is separable: each nontrivial element acts inside one
-    # cell, so grouping elements by cell yields the factor generators
+    # each nontrivial element acts inside one cell and moves its first moved
+    # base point, whose orbit therefore names the cell
     by_cell: dict[tuple[int, ...], list[Permutation]] = {cell: [] for cell in partition.cells}
     base = handle.chain.base
     for x in sgs.elements:
         j = _first_moved_orbit(x, base, structure)
-        if j is None:
-            continue  # the identity: a group element fixing the base
-        cell = partition.cell_of(j)
-        if verify:
-            cell_support = {p for j in cell for p in structure.orbit(j)}
-            if not x.support() <= cell_support:
-                raise InvariantViolation(f"generator {x} leaves its cell support")
-        by_cell[cell].append(x)
+        if j is not None:  # None: the identity, a group element fixing the base
+            by_cell[partition.cell_of(j)].append(x)
+    orders = dict.fromkeys(partition.cells, 1)
+    for level in handle.chain.levels:
+        cell = partition.cell_of(structure.orbit_of_point(level.base_point))
+        orders[cell] *= len(level.coset_reps)
 
     factors = []
-    order_product = 1
     for cell in partition.cells:
-        support = tuple(p for j in cell for p in structure.orbit(j))
-        gens = tuple(by_cell[cell])
-        factor_handle = GroupHandle.from_generators(gens, handle.degree)
-        factors.append(Factor(cell, tuple(sorted(support)), gens,
-                              factor_handle.order, factor_handle))
-        order_product *= factor_handle.order
-    if order_product != whole_order:
-        raise InvariantViolation(
-            f"factor order product {order_product} != group order {whole_order}")
+        support = tuple(sorted(p for j in cell for p in structure.orbit(j)))
+        factor = Factor(cell, support, tuple(by_cell[cell]), orders[cell])
+        if verify and factor.handle.order != factor.order:
+            raise InvariantViolation(f"factor {cell}: rebuilt order "
+                                     f"{factor.handle.order} != chain order {factor.order}")
+        factors.append(factor)
     return DecompositionResult(handle.degree, partition, tuple(factors),
                                structure.fixed_points, whole_order, structure)
 

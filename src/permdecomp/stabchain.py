@@ -23,6 +23,7 @@ therefore arbitrary precision.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .perm import Permutation
@@ -35,7 +36,7 @@ class OrbitStructure:
     reported separately.  The default order is by smallest orbit element.
     """
 
-    __slots__ = ("degree", "orbits", "fixed_points", "_orbit_of", "_prefixes")
+    __slots__ = ("degree", "orbits", "fixed_points", "_orbit_of")
 
     def __init__(self, degree: int, orbits: Sequence[Sequence[int]], fixed_points: Iterable[int]):
         self.degree = degree
@@ -46,13 +47,6 @@ class OrbitStructure:
             for p in orbit:
                 orbit_of[p] = idx
         self._orbit_of = orbit_of
-        # prefixes[i] = union of orbits 1..i as a set
-        prefixes = [frozenset()]
-        acc: set[int] = set()
-        for orbit in self.orbits:
-            acc.update(orbit)
-            prefixes.append(frozenset(acc))
-        self._prefixes = tuple(prefixes)
 
     @property
     def k(self) -> int:
@@ -62,16 +56,12 @@ class OrbitStructure:
         """Points of the i-th orbit (1-based index)."""
         return self.orbits[i - 1]
 
-    def prefix(self, i: int) -> frozenset[int]:
-        """The union of orbits 1..i."""
-        return self._prefixes[i]
-
     def orbit_of_point(self, p: int) -> int | None:
         """1-based index of the orbit containing p, or None if p is fixed."""
         return self._orbit_of.get(p)
 
     def support(self) -> frozenset[int]:
-        return self._prefixes[-1]
+        return frozenset(self._orbit_of)
 
     def reordered(self, order: Sequence[int]) -> "OrbitStructure":
         """A copy with orbits processed in the given order.
@@ -465,15 +455,10 @@ class GroupHandle:
         self.generators = tuple(generators)
         self.orbit_structure = orbit_structure
         self.chain = chain
-        boundaries = []
-        base = chain.base
-        pos = 0
-        for i in range(1, orbit_structure.k + 1):
-            prefix = orbit_structure.prefix(i)
-            while pos < len(base) and base[pos] in prefix:
-                pos += 1
-            boundaries.append(pos)
-        self.orbit_base_boundaries = tuple(boundaries)
+        # the base points' orbit indices never decrease on an orbit-ordered base
+        base_orbits = [orbit_structure.orbit_of_point(b) for b in chain.base]
+        self.orbit_base_boundaries = tuple(bisect_right(base_orbits, i)
+                                           for i in range(1, orbit_structure.k + 1))
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], degree: int,

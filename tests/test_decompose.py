@@ -1,8 +1,11 @@
+import importlib
+import itertools
 import random
 
 import pytest
 
 from permdecomp import (
+    Factor,
     GroupHandle,
     InvariantViolation,
     OrbitPartition,
@@ -19,12 +22,17 @@ from permdecomp import (
     parse_cycles,
     pointwise_stabilizer_level,
     random_ddp_group,
+    restriction_order,
     verify_separability,
 )
 from permdecomp.decompose import _first_moved_orbit
 from permdecomp.groups import by_name
 
 from oracles import brute_finest_partition, closure, tab
+
+# the package re-exports the function decompose under the module's name
+decompose_module = importlib.import_module("permdecomp.decompose")
+stabchain_module = importlib.import_module("permdecomp.stabchain")
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -41,6 +49,19 @@ def random_group(rng, degree, ngens):
         rng.shuffle(images)
         gens.append(Permutation(images))
     return gens
+
+
+def relabeled(handle, big, rng):
+    # the group moved onto random points of a larger degree, so base order,
+    # orbit order and point order all disagree
+    points = rng.sample(range(1, big + 1), handle.degree)
+    gens = []
+    for g in handle.generators:
+        images = list(range(1, big + 1))
+        for p in range(1, handle.degree + 1):
+            images[points[p - 1] - 1] = points[g.image(p) - 1]
+        gens.append(Permutation(images))
+    return GroupHandle.from_generators(gens, big)
 
 
 class TestOrbitOrderedHandle:
@@ -132,19 +153,6 @@ class TestFirstMovedBasePoint:
     # orbit in its support, for strong generators and for every siftee
 
     @staticmethod
-    def relabeled(handle, big, rng):
-        # the group moved onto random points of a larger degree, so base
-        # order, orbit order and point order all disagree
-        points = rng.sample(range(1, big + 1), handle.degree)
-        gens = []
-        for g in handle.generators:
-            images = list(range(1, big + 1))
-            for p in range(1, handle.degree + 1):
-                images[points[p - 1] - 1] = points[g.image(p) - 1]
-            gens.append(Permutation(images))
-        return GroupHandle.from_generators(gens, big)
-
-    @staticmethod
     def smallest_orbit(x, structure):
         return min((structure.orbit_of_point(p) for p in x.support()), default=None)
 
@@ -153,7 +161,7 @@ class TestFirstMovedBasePoint:
         base_group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
         rng = random.Random(seed)
         for big in (255, 256, 257):
-            h = self.relabeled(base_group, big, rng)
+            h = relabeled(base_group, big, rng)
             structure, base = h.orbit_structure, h.chain.base
             assert len(base) > structure.k  # several base points per orbit
             for x in h.chain.strong_generators:
@@ -208,6 +216,15 @@ class TestDdpdStep:
         sgs = SeparableSGS(h.chain.strong_generators, 1)
         with pytest.raises(ValueError):
             ddpd_step(h, 2, sgs, OrbitPartition.initial())
+
+    def test_step_past_the_last_orbit_rejected(self):
+        h = GroupHandle.from_generators(running_gens(), 12)
+        sgs = SeparableSGS(h.chain.strong_generators, 1)
+        p = OrbitPartition.initial()
+        for i in (1, 2, 3):
+            sgs, p = ddpd_step(h, i, sgs, p)
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            ddpd_step(h, 4, sgs, p)
 
     def test_each_step_keeps_a_strong_generating_set(self):
         h = GroupHandle.from_generators(running_gens(), 12)
@@ -330,6 +347,77 @@ class TestDecompose:
             for cell in p.cells:
                 assert cell in nxt.cells or set(cell) <= set(merged)
             sgs, p = nxt_sgs, nxt
+
+
+# instances on which a walk that never merges cells yields a wrong answer
+SEEDED = [("A4", 3, 3, 2), ("C3", 4, 2, 3), ("D8", 2, 3, 1)]
+
+
+def instance_id(instance):
+    return instance if isinstance(instance, str) else "{}-r{}-s{}-seed{}".format(*instance)
+
+
+def seeded_handle(inner, r, s, seed):
+    handle, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+    return handle
+
+
+class TestFactorsFromTheChain:
+    @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
+    def test_never_merging_walk_is_caught(self, monkeypatch, instance):
+        handle = (GroupHandle.from_generators(running_gens(), 12) if instance == "running"
+                  else seeded_handle(*instance))
+        step = decompose_module.ddpd_step
+
+        def never_merging_step(handle, i, sgs, partition, records_out=None, verify=False):
+            next_sgs, _ = step(handle, i, sgs, partition)
+            return next_sgs, OrbitPartition(list(partition.cells) + [[i + 1]])
+
+        monkeypatch.setattr(decompose_module, "ddpd_step", never_merging_step)
+        with pytest.raises(InvariantViolation, match="separable"):
+            decompose_handle(handle)
+
+    @staticmethod
+    def assert_orders_agree(handle):
+        result = decompose_handle(handle)
+        for factor in result.factors:
+            assert factor.order == restriction_order(handle, factor.orbit_indices)
+            assert factor.order == factor.handle.order
+
+    def test_orders_under_every_orbit_order(self):
+        for order in itertools.permutations(range(1, 5)):
+            self.assert_orders_agree(GroupHandle.from_generators(running_gens(), 12, order))
+
+    @pytest.mark.parametrize("instance", SEEDED, ids=instance_id)
+    def test_orders_across_the_bytes_tuple_boundary(self, instance):
+        base_group = seeded_handle(*instance)
+        rng = random.Random(instance[3])
+        for big in (255, 256, 257):
+            self.assert_orders_agree(relabeled(base_group, big, rng))
+
+    def test_chains_built(self, monkeypatch):
+        handle = seeded_handle(*SEEDED[0])
+        calls = []
+        build = stabchain_module.build_chain
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(stabchain_module, "build_chain", counting_build)
+        decompose(handle.generators, handle.degree)
+        assert len(calls) == 1
+        calls.clear()
+        result = decompose(handle.generators, handle.degree, verify=True)
+        assert len(calls) == 1 + len(result.factors)
+
+    def test_factor_built_without_a_chain(self):
+        handle = GroupHandle.from_generators(running_gens(), 12)
+        for cell, support in (((1,), (1, 2, 3)), ((2, 3, 4), tuple(range(4, 13)))):
+            restricted = (g.restrict(support) for g in handle.generators)
+            gens = tuple(g for g in restricted if not g.is_identity())
+            factor = Factor(cell, support, gens, restriction_order(handle, cell))
+            assert factor.handle.order == factor.order
 
 
 class TestOrbitPartition:
