@@ -24,14 +24,16 @@ moves: an element fixing the prefix's base points fixes the prefix, and
 otherwise that orbit names its cell.  The rule holds only for elements of
 the group.
 
-Each decomposition ends with one certificate, :func:`verify_separability` on the
-final strong generating set, which reads supports, not the base: if each
-element of a generating set acts inside one cell, the cells carry a direct
-product.  Factor orders are read off the chain: a level stabilizer of A x B
-splits, so the base points lying in a cell form a base of that factor, whose
-order is the product of the basic orbit sizes at those levels.
-:attr:`Factor.handle`, the factor's own chain, is built only on demand;
-``verify=True`` builds it and checks that the orders agree.
+Both the walk and the oracle turn their partition into a result through
+:func:`decomposition_result`, which is also the certificate.  A factor is
+generated by the distinct nontrivial restrictions g|_c of the input
+generators to its cell c.  Since H <= prod H|_c and these restrictions
+generate prod H|_c, the cells carry a direct product exactly when every g|_c
+lies in H, so each is sifted through H's chain on every call; the check reads
+the input generators, never the walk's strong generating set.  Factor orders
+are read off the chain: a level stabilizer of A x B splits, so the base
+points in a cell form a base of that factor.  :attr:`Factor.handle` is built
+only on demand; ``verify=True`` builds it and compares the two orders.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .perm import Permutation
+from .perm import Permutation, format_cycles
 from .stabchain import (
     GroupHandle,
     OrbitStructure,
+    is_member,
     pointwise_stabilizer_level,
     sift,
 )
@@ -249,45 +252,51 @@ def verify_separability(sgs: SeparableSGS, partition: OrbitPartition,
     return True
 
 
+def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> DecompositionResult:
+    """The result of splitting the group along ``partition`` (see the module
+    docstring).  Raises InvariantViolation if the cells carry no direct
+    product, and ValueError if they do not cover orbits 1..k."""
+    structure = handle.orbit_structure
+    if partition.max_index != structure.k:
+        raise ValueError(f"partition does not cover orbit indices 1..{structure.k}")
+    supports = {cell: tuple(sorted(p for j in cell for p in structure.orbit(j)))
+                for cell in partition.cells}
+    gens: dict[tuple[int, ...], set[Permutation]] = {cell: set() for cell in partition.cells}
+    for g in handle.generators:
+        cells = sorted({partition.cell_of(structure.orbit_of_point(p)) for p in g.support()})
+        if len(cells) == 1:
+            gens[cells[0]].add(g)
+            continue
+        for cell in cells:
+            r = g.restrict(supports[cell])
+            if not is_member(handle.chain, r):
+                raise InvariantViolation(f"cells not separable: {format_cycles(g)} restricted "
+                                         f"to cell {cell} is not in the group")
+            gens[cell].add(r)
+    orders = dict.fromkeys(partition.cells, 1)
+    for level in handle.chain.levels:
+        orders[partition.cell_of(structure.orbit_of_point(level.base_point))] *= len(level.coset_reps)
+    factors = tuple(Factor(cell, supports[cell], tuple(sorted(gens[cell], key=format_cycles)),
+                           orders[cell]) for cell in partition.cells)
+    return DecompositionResult(handle.degree, partition, factors, structure.fixed_points,
+                               handle.chain.order, structure)
+
+
 def decompose_handle(handle: GroupHandle, verify: bool = False) -> DecompositionResult:
     """Finest disjoint direct product decomposition of an orbit-ordered
     group handle."""
-    structure = handle.orbit_structure
-    k = structure.k
-    whole_order = handle.chain.order
-    if k == 0:
-        return DecompositionResult(handle.degree, OrbitPartition(()), (),
-                                   structure.fixed_points, whole_order, structure)
+    k = handle.orbit_structure.k
     sgs = SeparableSGS(handle.chain.strong_generators, 1)
-    partition = OrbitPartition.initial()
+    partition = OrbitPartition.initial() if k else OrbitPartition(())
     for i in range(1, k):
         sgs, partition = ddpd_step(handle, i, sgs, partition, verify=verify)
-    if not verify_separability(sgs, partition, structure):
-        raise InvariantViolation(f"final SGS not {k}-separable: the cells carry no direct product")
-
-    # each nontrivial element acts inside one cell and moves its first moved
-    # base point, whose orbit therefore names the cell
-    by_cell: dict[tuple[int, ...], list[Permutation]] = {cell: [] for cell in partition.cells}
-    base = handle.chain.base
-    for x in sgs.elements:
-        j = _first_moved_orbit(x, base, structure)
-        if j is not None:  # None: the identity, a group element fixing the base
-            by_cell[partition.cell_of(j)].append(x)
-    orders = dict.fromkeys(partition.cells, 1)
-    for level in handle.chain.levels:
-        cell = partition.cell_of(structure.orbit_of_point(level.base_point))
-        orders[cell] *= len(level.coset_reps)
-
-    factors = []
-    for cell in partition.cells:
-        support = tuple(sorted(p for j in cell for p in structure.orbit(j)))
-        factor = Factor(cell, support, tuple(by_cell[cell]), orders[cell])
-        if verify and factor.handle.order != factor.order:
-            raise InvariantViolation(f"factor {cell}: rebuilt order "
-                                     f"{factor.handle.order} != chain order {factor.order}")
-        factors.append(factor)
-    return DecompositionResult(handle.degree, partition, tuple(factors),
-                               structure.fixed_points, whole_order, structure)
+    result = decomposition_result(handle, partition)
+    if verify:
+        for factor in result.factors:
+            if factor.handle.order != factor.order:
+                raise InvariantViolation(f"factor {factor.orbit_indices}: rebuilt order "
+                                         f"{factor.handle.order} != chain order {factor.order}")
+    return result
 
 
 def decompose(generators: Sequence[Permutation], degree: int,

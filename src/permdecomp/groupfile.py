@@ -21,6 +21,7 @@ from typing import Sequence
 from . import __version__
 from .decompose import DecompositionResult, InvariantViolation, OrbitPartition
 from .perm import CycleFormatError, Permutation, format_cycles, parse_cycles
+from .stabchain import GroupHandle
 
 DOCUMENT_FORMAT = "permdecomp-decomposition/1"
 SIDECAR_FORMAT = "permdecomp-expected/1"
@@ -67,7 +68,7 @@ def read_group_file(path: str) -> tuple[int, list[Permutation]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     return parse_group_text(text)
 
@@ -81,14 +82,20 @@ def group_file_text(degree: int, generators: Sequence[Permutation],
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GroupFileError(f"cannot write {path}: {exc}") from None
+
+
 def write_group_file(path: str, degree: int, generators: Sequence[Permutation],
                      comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(group_file_text(degree, generators, comments))
+    _write_text(path, group_file_text(degree, generators, comments))
 
 
-def decomposition_document(result: DecompositionResult, method: str,
-                           seed: int | None = None) -> dict:
+def decomposition_document(result: DecompositionResult, method: str) -> dict:
     """JSON-ready document for a decomposition result."""
     return {
         "format": DOCUMENT_FORMAT,
@@ -110,8 +117,8 @@ def decomposition_document(result: DecompositionResult, method: str,
         "meta": {
             "tool": "permdecomp",
             "version": __version__,
-            "rng": None if seed is None else "python-mersenne-twister",
-            "seed": seed,
+            "rng": None,
+            "seed": None,
         },
     }
 
@@ -124,7 +131,7 @@ def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GroupFileError(f"{path}: not valid JSON: {exc}") from None
@@ -162,15 +169,18 @@ def check_document(doc: dict, whole_order: int, group_support: frozenset[int]) -
             "disjoint-support law violated: supports do not cover the group support")
 
 
-def expected_sidecar(partition: OrbitPartition, result_supports: Sequence[Sequence[int]],
-                     degree: int, inner: str, r: int, s: int, seed: int) -> dict:
-    return {
+def write_expected_sidecar(group_path: str, handle: GroupHandle, partition: OrbitPartition,
+                           inner: str, r: int, s: int, seed: int) -> None:
+    """Write ``<group_path>.expected.json``: the true cells and supports."""
+    structure = handle.orbit_structure
+    sidecar = {
         "format": SIDECAR_FORMAT,
-        "degree": degree,
+        "degree": handle.degree,
         "inner": inner,
         "r": r,
         "s": s,
         "seed": seed,
         "cells": [list(c) for c in partition.cells],
-        "supports": [sorted(sup) for sup in result_supports],
+        "supports": [sorted(p for j in c for p in structure.orbit(j)) for c in partition.cells],
     }
+    _write_text(group_path + ".expected.json", json.dumps(sidecar, indent=2) + "\n")

@@ -25,7 +25,7 @@ from permdecomp import (
     restriction_order,
     verify_separability,
 )
-from permdecomp.decompose import _first_moved_orbit
+from permdecomp.decompose import _first_moved_orbit, decomposition_result
 from permdecomp.groups import by_name
 
 from oracles import brute_finest_partition, closure, tab
@@ -254,6 +254,24 @@ class TestVerifySeparability:
         assert verify_separability(sgs, OrbitPartition.initial(), h.orbit_structure)
 
 
+# instances on which a walk that never merges cells yields a wrong answer
+SEEDED = [("A4", 3, 3, 2), ("C3", 4, 2, 3), ("D8", 2, 3, 1)]
+
+
+def instance_id(instance):
+    return instance if isinstance(instance, str) else "{}-r{}-s{}-seed{}".format(*instance)
+
+
+def seeded_handle(inner, r, s, seed):
+    handle, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+    return handle
+
+
+def instance_handle(instance):
+    return (GroupHandle.from_generators(running_gens(), 12) if instance == "running"
+            else seeded_handle(*instance))
+
+
 class TestDecompose:
     def test_running_example(self):
         res = decompose(running_gens(), 12, verify=True)
@@ -306,6 +324,14 @@ class TestDecompose:
             for g in gens:
                 assert is_member(factor.handle.chain, g.restrict(factor.support))
 
+    @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
+    def test_factor_generators_lie_in_the_group(self, instance):
+        h = instance_handle(instance)
+        for factor in decompose_handle(h).factors:
+            for g in factor.generators:
+                assert is_member(h.chain, g)
+                assert g.support() <= set(factor.support)
+
     def test_product_law_and_disjoint_supports(self):
         res = decompose(running_gens(), 12)
         product = 1
@@ -349,19 +375,6 @@ class TestDecompose:
             sgs, p = nxt_sgs, nxt
 
 
-# instances on which a walk that never merges cells yields a wrong answer
-SEEDED = [("A4", 3, 3, 2), ("C3", 4, 2, 3), ("D8", 2, 3, 1)]
-
-
-def instance_id(instance):
-    return instance if isinstance(instance, str) else "{}-r{}-s{}-seed{}".format(*instance)
-
-
-def seeded_handle(inner, r, s, seed):
-    handle, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
-    return handle
-
-
 class TestFactorsFromTheChain:
     @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
     def test_never_merging_walk_is_caught(self, monkeypatch, instance):
@@ -376,6 +389,24 @@ class TestFactorsFromTheChain:
         monkeypatch.setattr(decompose_module, "ddpd_step", never_merging_step)
         with pytest.raises(InvariantViolation, match="separable"):
             decompose_handle(handle)
+
+    @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
+    def test_dropped_element_walk_keeps_orders(self, monkeypatch, instance):
+        # a walk that loses a strong generator still finds the right cells;
+        # the factors must not inherit the loss
+        handle = instance_handle(instance)
+        last = handle.orbit_structure.k - 1
+        step = decompose_module.ddpd_step
+
+        def dropping_step(handle, i, sgs, partition, records_out=None, verify=False):
+            next_sgs, next_partition = step(handle, i, sgs, partition)
+            if i == last:
+                next_sgs = SeparableSGS(next_sgs.elements[:-1], i + 1)
+            return next_sgs, next_partition
+
+        monkeypatch.setattr(decompose_module, "ddpd_step", dropping_step)
+        for factor in decompose_handle(handle).factors:
+            assert factor.handle.order == factor.order
 
     @staticmethod
     def assert_orders_agree(handle):
@@ -418,6 +449,28 @@ class TestFactorsFromTheChain:
             gens = tuple(g for g in restricted if not g.is_identity())
             factor = Factor(cell, support, gens, restriction_order(handle, cell))
             assert factor.handle.order == factor.order
+
+
+class TestDecompositionResult:
+    @pytest.mark.parametrize("cells", [[[1], [2], [3], [4]], [[1], [2, 3], [4]]])
+    def test_cells_carrying_no_product_are_rejected(self, cells):
+        handle = GroupHandle.from_generators(running_gens(), 12)
+        with pytest.raises(InvariantViolation, match="is not in the group"):
+            decomposition_result(handle, OrbitPartition(cells))
+
+    @pytest.mark.parametrize("cells, orders", [([[1], [2, 3, 4]], [3, 18]),
+                                               ([[1, 2, 3, 4]], [54])])
+    def test_product_cells_are_accepted(self, cells, orders):
+        handle = GroupHandle.from_generators(running_gens(), 12)
+        result = decomposition_result(handle, OrbitPartition(cells))
+        assert [f.order for f in result.factors] == orders
+        for factor in result.factors:
+            assert factor.handle.order == factor.order
+
+    def test_partition_short_of_the_last_orbit(self):
+        handle = GroupHandle.from_generators(running_gens(), 12)
+        with pytest.raises(ValueError, match="1..4"):
+            decomposition_result(handle, OrbitPartition([[1], [2, 3]]))
 
 
 class TestOrbitPartition:
