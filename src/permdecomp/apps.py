@@ -7,6 +7,14 @@ class count of a product is the product of the class counts).  The
 decomposed paths turn computations that are infeasible on the whole group
 into small per-factor ones.
 
+Both class-count paths share one kernel, :func:`count_conjugacy_classes`.
+It works in the group's own points: the sorted support relabelled to
+0..m-1, so a factor of a large-degree group computes at the degree of its
+cell.  Coset representatives and generators become raw images of degree m
+once per call, and elements and their conjugates stay raw images (see
+:mod:`permdecomp.perm` for the storage); no :class:`Permutation` is built
+per element.
+
 A small benchmark harness times the three phases (whole group,
 decomposition, per-factor) over random instances.  Limits are cooperative:
 enumerations carry an order cap and long loops check a deadline, and
@@ -32,8 +40,8 @@ from .oracle import (
     brute_force_decompose,
     random_ddp_group,
 )
-from .perm import Permutation
-from .stabchain import GroupHandle, StabilizerChain, is_member
+from .perm import Permutation, _identity_image, _operand, _relabel
+from .stabchain import GroupHandle, is_member
 
 DEFAULT_ORDER_CAP = 100_000
 
@@ -106,15 +114,17 @@ def derived_subgroup(handle: GroupHandle, deadline: float | None = None) -> Grou
 
 
 def derived_subgroup_via_ddpd(handle: GroupHandle,
-                              result: DecompositionResult | None = None) -> GroupHandle:
+                              result: DecompositionResult | None = None,
+                              deadline: float | None = None) -> GroupHandle:
     """Derived subgroup through the decomposition: the group generated by
-    the union of the factors' derived generators."""
+    the union of the factors' derived generators.  ``deadline`` applies to
+    each factor's computation."""
     if result is None:
         result = decompose_handle(handle)
     gens: list[Permutation] = []
     expected_order = 1
     for factor in result.factors:
-        part = derived_subgroup(factor.handle)
+        part = derived_subgroup(factor.handle, deadline)
         gens.extend(part.generators)
         expected_order *= part.order
     out = GroupHandle.from_generators(gens, handle.degree)
@@ -123,19 +133,32 @@ def derived_subgroup_via_ddpd(handle: GroupHandle,
     return out
 
 
-def iter_elements(chain: StabilizerChain):
-    """Yield every group element once, as products of one coset
-    representative per level."""
-    levels = chain.levels
+def _local_points(handle: GroupHandle) -> list[int]:
+    """The group's own points: its sorted support, which local coordinates
+    relabel to 0..m-1."""
+    return sorted(handle.orbit_structure.support())
 
-    def walk(t: int, acc: Permutation):
-        if t < 0:
-            yield acc
-            return
-        for rep in levels[t].coset_reps.values():
-            yield from walk(t - 1, acc if rep.is_identity() else acc * rep)
 
-    yield from walk(len(levels) - 1, Permutation.identity(chain.degree))
+def iter_elements(handle: GroupHandle):
+    """Yield every group element once, as a raw image in local coordinates:
+    a product of one coset representative per chain level."""
+    points = _local_points(handle)
+    compose = Permutation._composer(len(points))
+    levels = [[_operand(r) for r in _relabel(level.coset_reps.values(), points)]
+              for level in handle.chain.levels]
+    identity = _identity_image(len(points))
+    if not levels:
+        yield identity
+        return
+    # depth first over the upper levels; the innermost one yields directly
+    stack = [(len(levels) - 1, identity)]
+    while stack:
+        t, acc = stack.pop()
+        if t == 0:
+            for rep in levels[0]:
+                yield compose(acc, rep)
+        else:
+            stack.extend((t - 1, compose(acc, rep)) for rep in levels[t])
 
 
 def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_CAP,
@@ -143,16 +166,24 @@ def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_
     """Exact class count by enumerating all elements and partitioning them
     into conjugation orbits under the generators.
 
-    Groups larger than ``order_cap`` raise OrderCapExceeded; that is the
+    Everything runs on raw images in local coordinates (the group's sorted
+    support relabelled to 0..m-1): the elements come from
+    :func:`iter_elements`, and a conjugate x^-1 h x is two raw products, so no
+    :class:`Permutation` is built per element.  Groups larger than
+    ``order_cap`` raise OrderCapExceeded before any enumeration; that is the
     signal to switch to the decomposed path.
     """
     if handle.order > order_cap:
         raise OrderCapExceeded(f"order {handle.order} exceeds cap {order_cap}")
-    conj_pairs = [(x.inverse(), x) for x in handle.generators]
-    seen: set[Permutation] = set()
+    points = _local_points(handle)
+    compose = Permutation._composer(len(points))
+    gens = handle.generators
+    conjugators = list(zip(_relabel([x.inverse() for x in gens], points),
+                           map(_operand, _relabel(gens, points))))
+    seen: set = set()
     count = 0
     processed = 0
-    for g in iter_elements(handle.chain):
+    for g in iter_elements(handle):
         processed += 1
         if deadline is not None and processed % 1024 == 0 and time.monotonic() > deadline:
             raise ComputationTimeout("class counting timed out")
@@ -162,9 +193,9 @@ def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_
         stack = [g]
         seen.add(g)
         while stack:
-            h = stack.pop()
-            for x_inv, x in conj_pairs:
-                c = x_inv * h * x
+            h = _operand(stack.pop())
+            for x_inv, x in conjugators:
+                c = compose(compose(x_inv, h), x)
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
@@ -173,17 +204,19 @@ def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_
 
 def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
                                      per_factor_cap: int = DEFAULT_ORDER_CAP,
-                                     result: DecompositionResult | None = None) -> ClassCountReport:
+                                     result: DecompositionResult | None = None,
+                                     deadline: float | None = None) -> ClassCountReport:
     """Class count as the product of the per-factor counts.
 
     Only the factor orders need to stay within the enumeration cap; the
-    whole group may be far too large to enumerate.
+    whole group may be far too large to enumerate.  ``deadline`` applies to
+    each factor's count.
     """
     if result is None:
         result = decompose_handle(handle)
     counts = []
     for factor in result.factors:
-        counts.append(count_conjugacy_classes(factor.handle, per_factor_cap).count)
+        counts.append(count_conjugacy_classes(factor.handle, per_factor_cap, deadline).count)
     total = 1
     for c in counts:
         total *= c
@@ -235,13 +268,15 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
             whole_time, whole_ok = _timed(lambda dl: derived_subgroup(handle, deadline=dl),
                                           time_limit)
             factor_time, factor_ok = _timed(
-                lambda dl: derived_subgroup_via_ddpd(handle, result=result), time_limit)
+                lambda dl: derived_subgroup_via_ddpd(handle, result=result, deadline=dl),
+                time_limit)
         else:
             whole_time, whole_ok = _timed(
                 lambda dl: count_conjugacy_classes(handle, order_cap, deadline=dl),
                 time_limit)
             factor_time, factor_ok = _timed(
-                lambda dl: count_conjugacy_classes_via_ddpd(handle, order_cap, result=result),
+                lambda dl: count_conjugacy_classes_via_ddpd(handle, order_cap, result=result,
+                                                            deadline=dl),
                 time_limit)
 
         records.append(BenchRecord(

@@ -252,6 +252,11 @@ def verify_separability(sgs: SeparableSGS, partition: OrbitPartition,
     return True
 
 
+def _in_cycle_order(gens: set[Permutation]) -> tuple[Permutation, ...]:
+    # format_cycles walks all n points, so no keys for a cell with one generator
+    return tuple(sorted(gens, key=format_cycles)) if len(gens) > 1 else tuple(gens)
+
+
 def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> DecompositionResult:
     """The result of splitting the group along ``partition`` (see the module
     docstring).  Raises InvariantViolation if the cells carry no direct
@@ -276,8 +281,8 @@ def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> Deco
     orders = dict.fromkeys(partition.cells, 1)
     for level in handle.chain.levels:
         orders[partition.cell_of(structure.orbit_of_point(level.base_point))] *= len(level.coset_reps)
-    factors = tuple(Factor(cell, supports[cell], tuple(sorted(gens[cell], key=format_cycles)),
-                           orders[cell]) for cell in partition.cells)
+    factors = tuple(Factor(cell, supports[cell], _in_cycle_order(gens[cell]), orders[cell])
+                    for cell in partition.cells)
     return DecompositionResult(handle.degree, partition, factors, structure.fixed_points,
                                handle.chain.order, structure)
 

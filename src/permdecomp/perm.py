@@ -48,6 +48,20 @@ def _identity_image(degree: int) -> bytes | tuple[int, ...]:
     return _as_image(range(degree))
 
 
+def _operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+    """The right operand of :meth:`Permutation._composer` for a raw image:
+    the image padded to a 256-byte translate table, or the tuple itself."""
+    return img + _PAD[len(img):] if len(img) <= _MAX_BYTES_DEGREE else img
+
+
+def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[bytes | tuple[int, ...]]:
+    """Raw images of ``perms`` on the invariant points ``points`` (1-based),
+    relabelled so that ``points[i]`` becomes i: permutations of degree
+    ``len(points)``, stored as that degree dictates."""
+    local = {p - 1: i for i, p in enumerate(points)}
+    return [_as_image([local[g._img[p - 1]] for p in points]) for g in perms]
+
+
 def _compose_tuples(img: tuple[int, ...], tbl: tuple[int, ...]) -> tuple[int, ...]:
     # only used above degree 256, so there are always at least two indices
     # and itemgetter returns a tuple, never a bare int
@@ -128,12 +142,11 @@ class Permutation:
         return bytes.translate if degree <= _MAX_BYTES_DEGREE else _compose_tuples
 
     def _table(self) -> bytes | tuple[int, ...]:
-        """The right operand of :meth:`_composer`: the image padded to a
-        256-byte translate table, or the image tuple itself."""
+        """The right operand of :meth:`_composer` (see :func:`_operand`),
+        cached."""
         tbl = self._tbl
         if tbl is None:
-            img = self._img
-            tbl = self._tbl = img + _PAD[len(img):] if len(img) <= _MAX_BYTES_DEGREE else img
+            tbl = self._tbl = _operand(self._img)
         return tbl
 
     def __mul__(self, other: "Permutation") -> "Permutation":

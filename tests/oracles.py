@@ -13,6 +13,15 @@ def tab(perm) -> tuple[int, ...]:
     return tuple(perm.image(p) for p in range(1, perm.degree + 1))
 
 
+def on_points(points, images, degree):
+    """Image tuple of the permutation of 1..degree sending points[i] to
+    points[images[i]] and fixing the rest."""
+    table = list(range(1, degree + 1))
+    for p, i in zip(points, images):
+        table[p - 1] = points[i]
+    return tuple(table)
+
+
 def tab_compose(a, b):
     """Image tuple of 'apply a then b'."""
     return tuple(b[x - 1] for x in a)

@@ -1,26 +1,21 @@
-"""Chains checked against sympy's independent Schreier-Sims.
+"""Chains and class counts checked against sympy's independent
+implementations.
 
 sympy is a test-only dependency: without it this module is skipped.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from permdecomp import Permutation, build_chain, is_member
+from permdecomp import GroupHandle, Permutation, build_chain, count_conjugacy_classes, is_member
+
+from oracles import on_points
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 
 def to_sympy(g):
     return combinatorics.Permutation([g.image(p) - 1 for p in range(1, g.degree + 1)])
-
-
-def on_points(points, images, degree):
-    """The permutation sending points[i] to points[images[i]], fixing the rest."""
-    table = list(range(1, degree + 1))
-    for p, i in zip(points, images):
-        table[p - 1] = points[i]
-    return Permutation(table)
 
 
 @st.composite
@@ -34,12 +29,12 @@ def groups(draw):
     points = draw(st.permutations(range(1, degree + 1)))[:k + 3]
     support, spare = points[:k], points[k:]
     local = st.permutations(range(k))
-    gens = [on_points(support, images, degree)
+    gens = [Permutation(on_points(support, images, degree))
             for images in draw(st.lists(local, min_size=1, max_size=3))]
     candidates = draw(st.permutations(support + spare[:draw(st.integers(1, len(spare)))]))
     words = draw(st.lists(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=6),
                           min_size=1, max_size=4))
-    others = [on_points(support, images, degree)
+    others = [Permutation(on_points(support, images, degree))
               for images in draw(st.lists(local, min_size=1, max_size=4))]
     return degree, gens, candidates, words, others
 
@@ -70,3 +65,13 @@ def test_chain_agrees_with_sympy(case):
 
     positions = [candidates.index(b) for b in chain.base]
     assert positions == sorted(positions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups())
+def test_class_count_agrees_with_sympy(case):
+    degree, gens, *_ = case
+    handle = GroupHandle.from_generators(gens, degree)
+    assume(1 < handle.order <= 720)  # sympy lists every element of every class
+    group = combinatorics.PermutationGroup([to_sympy(g) for g in gens])
+    assert count_conjugacy_classes(handle).count == len(group.conjugacy_classes())

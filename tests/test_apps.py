@@ -2,11 +2,13 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permdecomp import (
     BenchRecord,
     GroupHandle,
     OrderCapExceeded,
+    Permutation,
     RandomInstanceSpec,
     alternating,
     count_conjugacy_classes,
@@ -22,8 +24,9 @@ from permdecomp import (
     symmetric,
 )
 from permdecomp.apps import iter_elements, summarize
+from permdecomp.groups import by_name
 
-from oracles import brute_class_count, brute_derived_order, tab
+from oracles import brute_class_count, brute_derived_order, closure, on_points, tab
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -31,6 +34,27 @@ RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
 
 def running_handle():
     return GroupHandle.from_generators([parse_cycles(s, 12) for s in RUNNING], 12)
+
+
+@st.composite
+def relabelled_groups(draw):
+    """A nontrivial group of order at most 2000 that permutes up to three
+    blocks of 2-4 points each, as generator tables on those k points, and
+    the same group relabelled onto random points of a degree on either side
+    of the bytes/tuple boundary."""
+    degree = draw(st.sampled_from([255, 256, 257, 300]))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    k = sum(sizes)
+    rng = draw(st.randoms(use_true_random=False))
+    local = [[i for a, n in zip(starts, sizes) for i in rng.sample(range(a, a + n), n)]
+             for _ in range(draw(st.integers(1, 3)))]
+    small = [tuple(i + 1 for i in images) for images in local]
+    elements = closure(small, k, limit=2000)
+    assume(elements is not None and len(elements) > 1)
+    points = draw(st.permutations(range(1, degree + 1)))[:k]
+    gens = [Permutation(on_points(points, images, degree)) for images in local]
+    return small, k, GroupHandle.from_generators(gens, degree)
 
 
 def s4_pair():
@@ -96,9 +120,48 @@ class TestClassCounting:
         assert count_conjugacy_classes(h).count == 5
 
     def test_element_enumeration_is_exact(self):
+        # the running example moves all of 1..12, so local point i is point i + 1
         h = running_handle()
-        elems = list(iter_elements(h.chain))
+        elems = list(iter_elements(h))
         assert len(elems) == 54 == len(set(elems))
+        assert ({tuple(x + 1 for x in e) for e in elems}
+                == closure([tab(g) for g in h.generators], 12))
+
+    def test_no_permutation_per_element(self, monkeypatch):
+        h = s4_pair()  # order 576
+        made = []
+        make = Permutation._make.__func__
+        monkeypatch.setattr(Permutation, "_make",
+                            classmethod(lambda cls, img: made.append(img) or make(cls, img)))
+        assert count_conjugacy_classes(h).count == 25
+        assert len(made) <= len(h.generators)
+
+    def test_trivial_group_has_one_class(self):
+        h = GroupHandle.from_generators([], 5)
+        assert [len(e) for e in iter_elements(h)] == [0]
+        assert count_conjugacy_classes(h).count == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_groups())
+    def test_matches_brute_force_on_relabelled_groups(self, case):
+        small, k, h = case
+        assert count_conjugacy_classes(h).count == brute_class_count(small, k)
+
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_cyclic_on_the_tuple_path(self, n):
+        # the support has more than 256 points, so local images are tuples
+        assert count_conjugacy_classes(cyclic(n)).count == n
+
+    @pytest.mark.parametrize("inner, r, s, seed, count, per_factor", [
+        ("S4", 3, 3, 2004_11618, 262144, (64, 64, 64)),
+        ("A4", 4, 4, 2004_11619, 13246464, (56, 56, 88, 48)),
+        ("D8", 8, 4, 2004_11620, 155002317307904, (58, 58, 58, 44, 76, 64, 64, 58)),
+    ])
+    def test_golden_counts(self, inner, r, s, seed, count, per_factor):
+        # counts measured with the earlier enumeration of Permutation objects
+        H, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
+        report = count_conjugacy_classes_via_ddpd(H)
+        assert (report.count, report.per_factor_counts) == (count, per_factor)
 
     def test_c3_times_c3(self):
         h = GroupHandle.from_generators(
@@ -155,6 +218,12 @@ class TestBenchmark:
         rec = records[0]
         assert not rec.whole_completed
         assert rec.factor_completed
+
+    @pytest.mark.parametrize("task", ["classes", "derived"])
+    def test_time_limit_applies_to_per_factor_column(self, task):
+        spec = RandomInstanceSpec(symmetric(4), 2, 3, 1)
+        records = run_benchmark(spec, task, 1, time_limit=1e-6)
+        assert not records[0].factor_completed
 
     def test_median_is_middle_of_odd_count(self):
         records = [BenchRecord(f"i{i}", "derived", float(t), True, 0.0, 1.0, True, 1)
