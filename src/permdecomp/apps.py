@@ -17,8 +17,9 @@ per element.
 
 A small benchmark harness times the three phases (whole group,
 decomposition, per-factor) over random instances.  Limits are cooperative:
-enumerations carry an order cap and long loops check a deadline, and
-whatever does not finish is recorded as incomplete rather than raising.
+no group above ``DEFAULT_ORDER_CAP`` elements is enumerated and long loops
+check a deadline, and whatever does not finish is recorded as incomplete
+rather than raising.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def iter_elements(handle: GroupHandle):
             stack.extend((t - 1, compose(acc, rep)) for rep in levels[t])
 
 
-def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_CAP,
+def count_conjugacy_classes(handle: GroupHandle,
                             deadline: float | None = None) -> ClassCountReport:
     """Exact class count by enumerating all elements and partitioning them
     into conjugation orbits under the generators.
@@ -170,11 +171,11 @@ def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_
     support relabelled to 0..m-1): the elements come from
     :func:`iter_elements`, and a conjugate x^-1 h x is two raw products, so no
     :class:`Permutation` is built per element.  Groups larger than
-    ``order_cap`` raise OrderCapExceeded before any enumeration; that is the
-    signal to switch to the decomposed path.
+    ``DEFAULT_ORDER_CAP`` raise OrderCapExceeded before any enumeration;
+    that is the signal to switch to the decomposed path.
     """
-    if handle.order > order_cap:
-        raise OrderCapExceeded(f"order {handle.order} exceeds cap {order_cap}")
+    if handle.order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(f"order {handle.order} exceeds cap {DEFAULT_ORDER_CAP}")
     points = _local_points(handle)
     compose = Permutation._composer(len(points))
     gens = handle.generators
@@ -203,12 +204,11 @@ def count_conjugacy_classes(handle: GroupHandle, order_cap: int = DEFAULT_ORDER_
 
 
 def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
-                                     per_factor_cap: int = DEFAULT_ORDER_CAP,
                                      result: DecompositionResult | None = None,
                                      deadline: float | None = None) -> ClassCountReport:
     """Class count as the product of the per-factor counts.
 
-    Only the factor orders need to stay within the enumeration cap; the
+    Only the factor orders need to stay within ``DEFAULT_ORDER_CAP``; the
     whole group may be far too large to enumerate.  ``deadline`` applies to
     each factor's count.
     """
@@ -216,7 +216,7 @@ def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
         result = decompose_handle(handle)
     counts = []
     for factor in result.factors:
-        counts.append(count_conjugacy_classes(factor.handle, per_factor_cap, deadline).count)
+        counts.append(count_conjugacy_classes(factor.handle, deadline).count)
     total = 1
     for c in counts:
         total *= c
@@ -235,8 +235,7 @@ def _timed(fn, deadline_seconds: float | None):
 
 
 def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
-                  time_limit: float | None = None,
-                  order_cap: int = DEFAULT_ORDER_CAP) -> list[BenchRecord]:
+                  time_limit: float | None = None) -> list[BenchRecord]:
     """Time one (inner, r, s) configuration over several fresh instances.
 
     Tasks: ``derived`` and ``classes`` compare the whole-group computation
@@ -272,11 +271,10 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
                 time_limit)
         else:
             whole_time, whole_ok = _timed(
-                lambda dl: count_conjugacy_classes(handle, order_cap, deadline=dl),
+                lambda dl: count_conjugacy_classes(handle, deadline=dl),
                 time_limit)
             factor_time, factor_ok = _timed(
-                lambda dl: count_conjugacy_classes_via_ddpd(handle, order_cap, result=result,
-                                                            deadline=dl),
+                lambda dl: count_conjugacy_classes_via_ddpd(handle, result=result, deadline=dl),
                 time_limit)
 
         records.append(BenchRecord(

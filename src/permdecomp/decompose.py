@@ -305,16 +305,15 @@ def decompose_handle(handle: GroupHandle, verify: bool = False) -> Decomposition
 
 
 def decompose(generators: Sequence[Permutation], degree: int,
-              orbit_order: Sequence[int] | None = None,
               verify: bool = False) -> DecompositionResult:
     """Finest disjoint direct product decomposition of the group generated
     by ``generators`` inside the symmetric group on 1..degree.
 
     The factor supports partition the support of the group; the factor
     orders multiply to the group order; each factor admits no further
-    decomposition with disjoint supports.  ``orbit_order`` overrides the
-    default smallest-element orbit processing order (the result's support
-    family does not depend on it).
+    decomposition with disjoint supports.  Orbits are processed by smallest
+    element; the finest partition is unique, so the order does not change
+    the result.  ``verify`` is passed to :func:`decompose_handle`.
     """
-    handle = GroupHandle.from_generators(generators, degree, orbit_order)
+    handle = GroupHandle.from_generators(generators, degree)
     return decompose_handle(handle, verify=verify)

@@ -135,16 +135,23 @@ def load_document(path: str) -> dict:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GroupFileError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "degree" not in doc:
-        raise GroupFileError(f"{path}: not a decomposition document")
+    if not isinstance(doc, dict) or type(doc.get("degree")) is not int:
+        raise GroupFileError(f"{path}: not a decomposition document with an integer degree")
     return doc
 
 
 def document_supports(doc: dict) -> frozenset[frozenset[int]]:
+    """The document's factor supports.  Each must be a list of points of
+    1..degree; a bool is not a point, although ``True == 1``."""
     try:
-        return frozenset(frozenset(f["support"]) for f in doc["factors"])
+        supports = [f["support"] for f in doc["factors"]]
     except (KeyError, TypeError) as exc:
         raise GroupFileError(f"document missing factor supports: {exc}") from None
+    degree = doc["degree"]
+    for sup in supports:
+        if type(sup) is not list or not all(type(p) is int and 1 <= p <= degree for p in sup):
+            raise GroupFileError(f"factor support {sup!r} is not a list of points in 1..{degree}")
+    return frozenset(map(frozenset, supports))
 
 
 def check_document(doc: dict, whole_order: int, group_support: frozenset[int]) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .decompose import OrbitPartition, DecompositionResult
+from .decompose import OrbitPartition
 from .perm import Permutation
 from .stabchain import GroupHandle, build_chain, is_member, random_element
 
@@ -47,40 +47,6 @@ class ComputationTimeout(RuntimeError):
     """A cooperative deadline expired inside a long-running computation."""
 
 
-class DisjointSet:
-    """Union-find over 1..n with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(1, len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return sorted(out.values())
-
-
 @dataclass(frozen=True)
 class RandomInstanceSpec:
     """Parameters for one random decomposable-group instance: r subdirect
@@ -98,14 +64,6 @@ class RandomInstanceSpec:
             raise ValueError("inner group must be transitive")
         if len(self.inner_group.orbit_structure.orbit(1)) != self.inner_group.degree:
             raise ValueError("inner group must be transitive on its full point set")
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    equivalent: bool
-    left_supports: frozenset[frozenset[int]]
-    right_supports: frozenset[frozenset[int]]
-    mismatch: str | None = None
 
 
 def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[list[Permutation], list[int]]:
@@ -184,15 +142,15 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
         return OrbitPartition(())
     structure = handle.orbit_structure
 
-    units: list[tuple[int, ...]]
+    # every orbit starts as a unit of its own; the pairs pass tests every
+    # pair and glues the units of a pair whose restriction does not split
+    unit_of = {j: (j,) for j in range(1, k + 1)}
     if pairs_first:
-        dsu = DisjointSet(k)
         for a, b in combinations(range(1, k + 1), 2):
             if not _splits(*_node(handle, frozenset((a, b))), frozenset(structure.orbit(a))):
-                dsu.union(a, b)
-        units = [tuple(g) for g in dsu.groups()]
-    else:
-        units = [(j,) for j in range(1, k + 1)]
+                glued = tuple(sorted({*unit_of[a], *unit_of[b]}))
+                unit_of.update(dict.fromkeys(glued, glued))
+    units = sorted(set(unit_of.values()))
 
     def split(current: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
         indices = tuple(sorted(x for unit in current for x in unit))
@@ -318,18 +276,3 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
         cells.setdefault(t, []).append(idx)
     expected = OrbitPartition(list(cells.values()))
     return handle, expected
-
-
-def decompositions_equivalent(a: DecompositionResult, b: DecompositionResult) -> EquivalenceReport:
-    """Compare two decompositions by their families of factor supports."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    left = a.supports()
-    right = b.supports()
-    if left == right:
-        return EquivalenceReport(True, left, right)
-    only_left = left - right
-    only_right = right - left
-    mismatch = (f"{len(only_left)} support(s) only in left, "
-                f"{len(only_right)} only in right")
-    return EquivalenceReport(False, left, right, mismatch)

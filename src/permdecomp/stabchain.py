@@ -30,10 +30,12 @@ from .perm import Permutation
 
 
 class OrbitStructure:
-    """The orbits of a group, in a fixed processing order.
+    """The orbits of a group, in processing order.
 
     Only orbits of size >= 2 are listed; points fixed by the whole group are
-    reported separately.  The default order is by smallest orbit element.
+    reported separately.  :func:`compute_orbits` orders them by smallest
+    element.  The finest partition does not depend on the order; another
+    order is reached by relabelling the points.
     """
 
     __slots__ = ("degree", "orbits", "fixed_points", "_orbit_of")
@@ -62,16 +64,6 @@ class OrbitStructure:
 
     def support(self) -> frozenset[int]:
         return frozenset(self._orbit_of)
-
-    def reordered(self, order: Sequence[int]) -> "OrbitStructure":
-        """A copy with orbits processed in the given order.
-
-        ``order`` is a permutation of 1..k: position i of the new structure
-        holds old orbit ``order[i - 1]``.
-        """
-        if sorted(order) != list(range(1, self.k + 1)):
-            raise ValueError(f"not a permutation of 1..{self.k}: {order!r}")
-        return OrbitStructure(self.degree, [self.orbits[i - 1] for i in order], self.fixed_points)
 
     def __repr__(self) -> str:
         return f"OrbitStructure(degree={self.degree}, orbits={self.orbits}, fixed={self.fixed_points})"
@@ -461,17 +453,11 @@ class GroupHandle:
                                            for i in range(1, orbit_structure.k + 1))
 
     @classmethod
-    def from_generators(cls, generators: Sequence[Permutation], degree: int,
-                        orbit_order: Sequence[int] | None = None) -> "GroupHandle":
-        """Build a handle with an orbit-ordered base.
-
-        ``orbit_order`` optionally permutes the default smallest-element
-        orbit ordering; see :meth:`OrbitStructure.reordered`.
-        """
+    def from_generators(cls, generators: Sequence[Permutation], degree: int) -> "GroupHandle":
+        """Build a handle with an orbit-ordered base, its orbits taken by
+        smallest element."""
         gens = _dedup_generators(generators)
         structure = compute_orbits(gens, degree)
-        if orbit_order is not None:
-            structure = structure.reordered(orbit_order)
         chain = build_chain(gens, degree, orbit_ordered_candidates(structure))
         return cls(degree, gens, structure, chain)
 

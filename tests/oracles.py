@@ -110,3 +110,16 @@ def brute_finest_partition(gen_tabs, degree, orbits):
         return [indices]
 
     return sorted(tuple(sorted(c)) for c in finest(tuple(range(1, len(orbits) + 1))))
+
+
+def orbit_order_relabelling(orbits, order, degree):
+    """Image tuple of the relabelling that gives orbit ``order[0]`` (1-based)
+    the smallest labels, then orbit ``order[1]``, and so on, each orbit in
+    ascending point order, and the fixed points the largest labels.  A group
+    conjugated by it lists its orbits by smallest element in ``order``."""
+    moved = [p for j in order for p in sorted(orbits[j - 1])]
+    fixed = sorted(set(range(1, degree + 1)) - set(moved))
+    labels = [0] * degree
+    for label, p in enumerate(moved + fixed, start=1):
+        labels[p - 1] = label
+    return tuple(labels)

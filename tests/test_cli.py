@@ -258,6 +258,25 @@ class TestUsageErrors:
         path.write_bytes(b'{"degree": 3, "factors": [], "x": "\xff"}\n')
         self.assert_one_error_line(capsys, ["verify", str(path), str(path)], "cannot read")
 
+    # a malformed support is a parse error, not a comparison: "123" must not
+    # be a set of characters, and True == 1 must not let [1, true, 2, 3]
+    # match [1, 2, 3]
+    @pytest.mark.parametrize("support", ["123", ["1", "2", "3"], [1, True, 2, 3]],
+                             ids=["string", "strings", "bool"])
+    def test_support_not_a_list_of_points(self, tmp_path, capsys, support):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"degree": 3, "factors": [{"support": [1, 2, 3]}]}))
+        bad.write_text(json.dumps({"degree": 3, "factors": [{"support": support}]}))
+        self.assert_one_error_line(capsys, ["verify", str(bad), str(good)], "factor support")
+
+    def test_degree_not_an_integer(self, tmp_path, capsys):
+        # degrees are compared, and supports checked against them, as integers
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"degree": 3, "factors": [{"support": [1, 2, 3]}]}))
+        bad.write_text(json.dumps({"degree": "3", "factors": [{"support": [1, 2, 3]}]}))
+        for argv in ([str(bad), str(bad)], [str(bad), str(good)]):
+            self.assert_one_error_line(capsys, ["verify", *argv], "integer degree")
+
 
 class TestVerifyCommand:
     def test_document_vs_itself(self, running_file, tmp_path, capsys):

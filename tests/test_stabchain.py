@@ -163,13 +163,15 @@ class TestDeterminism:
     """Chains pinned to the output of the builder that walked every candidate:
     the base, the strong generators in order and hence the transversals."""
 
-    @pytest.mark.parametrize("orbit_order, base, added", [
-        (None, (1, 4, 5, 7), []),
-        ((4, 3, 2, 1), (10, 11, 4, 1), ["(4,6,5)", "(1,3,2)"]),
-        ((3, 4, 1, 2), (7, 8, 1, 4), ["(4,6,5)", "(1,3,2)(4,6,5)"]),
+    # the candidates are the running example's orbits {1,2,3}, {4,5,6},
+    # {7,8,9} and {10,11,12}, concatenated in the order the id names
+    @pytest.mark.parametrize("candidates, base, added", [
+        (range(1, 13), (1, 4, 5, 7), []),
+        ([10, 11, 12, 7, 8, 9, 4, 5, 6, 1, 2, 3], (10, 11, 4, 1), ["(4,6,5)", "(1,3,2)"]),
+        ([7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6], (7, 8, 1, 4), ["(4,6,5)", "(1,3,2)(4,6,5)"]),
     ], ids=["orbits-1234", "orbits-4321", "orbits-3412"])
-    def test_running_example(self, orbit_order, base, added):
-        chain = GroupHandle.from_generators(running_gens(), 12, orbit_order).chain
+    def test_running_example(self, candidates, base, added):
+        chain = build_chain(running_gens(), 12, candidates)
         assert chain.base == base
         assert [str(x) for x in chain.strong_generators] == RUNNING + added
 
@@ -337,11 +339,3 @@ class TestOrbitOrderedCandidates:
     def test_concatenation(self):
         s = compute_orbits(running_gens(), 12)
         assert orbit_ordered_candidates(s) == list(range(1, 13))
-
-    def test_reordered(self):
-        s = compute_orbits(running_gens(), 12).reordered([3, 1, 4, 2])
-        assert orbit_ordered_candidates(s) == [7, 8, 9, 1, 2, 3, 10, 11, 12, 4, 5, 6]
-
-    def test_reorder_validation(self):
-        with pytest.raises(ValueError):
-            compute_orbits(running_gens(), 12).reordered([1, 1, 2, 3])
