@@ -10,7 +10,6 @@ shared quotient.
 from permdecomp import (
     GroupHandle,
     OrbitPartition,
-    SeparableSGS,
     build_chain,
     compute_N_generators,
     ddpd_step,
@@ -44,11 +43,13 @@ print("stabilizer of orbits 1-3, projected onto orbit 4:",
       compute_N_generators(handle, 3), "(trivial)")
 
 print("\niterating the refinement step:")
-sgs = SeparableSGS(handle.chain.strong_generators, 1)
-partition = OrbitPartition.initial()
+# the walk starts from the chain's strong generators and the one-cell
+# partition of orbit 1; each step returns a plain tuple and the next partition
+elements = handle.chain.strong_generators
+partition = OrbitPartition([[1]])
 for i in range(1, handle.orbit_structure.k):
     records = []
-    sgs, partition = ddpd_step(handle, i, sgs, partition, records_out=records)
+    elements, partition = ddpd_step(handle, i, elements, partition, records_out=records)
     for r in records:
         mark = "moves orbit %d -> merge its cell" % (i + 1) if r.next_orbit_moved else "clean"
         print(f"   step {i}: {r.original} sifts to {r.siftee} [{mark}]")

@@ -25,7 +25,6 @@ rather than raising.
 from __future__ import annotations
 
 import random
-import resource
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,7 +57,6 @@ class ClassCountReport:
     path produced it."""
 
     count: int
-    method: str  # "whole-group" or "per-factor-product"
     per_factor_counts: tuple[int, ...] | None = None
 
 
@@ -66,14 +64,12 @@ class ClassCountReport:
 class BenchRecord:
     """Timings for one benchmark instance, in seconds."""
 
-    instance: str
     task: str
     whole_time: float | None
     whole_completed: bool
     decomposition_time: float
     factor_time: float | None
     factor_completed: bool
-    peak_rss_kb: int
 
 
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -200,7 +196,7 @@ def count_conjugacy_classes(handle: GroupHandle,
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
-    return ClassCountReport(count, "whole-group")
+    return ClassCountReport(count)
 
 
 def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
@@ -220,7 +216,7 @@ def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
     total = 1
     for c in counts:
         total *= c
-    return ClassCountReport(total, "per-factor-product", tuple(counts))
+    return ClassCountReport(total, tuple(counts))
 
 
 def _timed(fn, deadline_seconds: float | None):
@@ -251,7 +247,6 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
         inst_spec = RandomInstanceSpec(spec.inner_group, spec.r, spec.s,
                                        seed=spec.seed * 100_003 + rep)
         handle, _expected = random_ddp_group(inst_spec)
-        label = f"r={spec.r} s={spec.s} seed={inst_spec.seed}"
 
         start = time.perf_counter()
         result = decompose_handle(handle)
@@ -278,14 +273,12 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
                 time_limit)
 
         records.append(BenchRecord(
-            instance=label,
             task=task,
             whole_time=whole_time,
             whole_completed=whole_ok,
             decomposition_time=decomposition_time,
             factor_time=factor_time,
             factor_completed=factor_ok,
-            peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         ))
     return records
 

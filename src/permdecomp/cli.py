@@ -120,12 +120,12 @@ def cmd_randgen(args) -> int:
 def cmd_verify(args) -> int:
     left = load_document(args.left)
     right = load_document(args.right)
+    lsup = document_supports(left)
+    rsup = document_supports(right)
     if left["degree"] != right["degree"]:
         sys.stdout.write(f"not equivalent: degrees differ "
                          f"({left['degree']} vs {right['degree']})\n")
         return EXIT_NOT_EQUIVALENT
-    lsup = document_supports(left)
-    rsup = document_supports(right)
     if lsup == rsup:
         sys.stdout.write(f"equivalent: {len(lsup)} factor support(s) match\n")
         return EXIT_OK
@@ -142,6 +142,8 @@ def _positive_list(flag: str, text: str) -> list[int]:
     except ValueError:
         raise UsageError(f"{flag} must be a comma-separated list of integers, "
                          f"got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} must list at least one integer, got {text!r}")
     return [_positive(flag, v) for v in values]
 
 

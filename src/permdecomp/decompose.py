@@ -5,14 +5,14 @@ constituents H|_{O_1} x ... x H|_{O_k}.  This module computes the unique
 finest partition of the orbits whose cells carry a direct product
 decomposition of H with pairwise disjoint factor supports.
 
-The computation iterates over orbit prefixes.  At step i it holds a strong
-generating set (w.r.t. an orbit-ordered base) in which every element acting
-on the first i orbits acts inside a single cell of the current partition
-("i-separable").  Each such element is sifted by the pointwise stabilizer
-of the first i orbits, reusing the tail of the stabilizer chain; whether
-the siftee moves orbit i+1 decides, cell by cell, which cells must merge
-with orbit i+1.  Quotient maps are never materialized: the siftee test is
-the whole kernel test.
+The computation iterates over orbit prefixes.  At step i it holds the
+finest partition of orbits 1..i, whose ``max_index`` is the stage i, and a
+strong generating set (w.r.t. an orbit-ordered base) in which every element
+acting on the first i orbits acts inside one cell ("i-separable").  Each
+such element is sifted by the pointwise stabilizer of the first i orbits,
+reusing the tail of the stabilizer chain; whether the siftee moves orbit
+i+1 decides, cell by cell, which cells must merge with orbit i+1.  Quotient
+maps are never materialized: the siftee test is the whole kernel test.
 
 Whether an element moves the prefix, and which cell it acts in, are read
 off the base, not off point sets.  A group element fixing the base points
@@ -33,7 +33,8 @@ lies in H, so each is sifted through H's chain on every call; the check reads
 the input generators, never the walk's strong generating set.  Factor orders
 are read off the chain: a level stabilizer of A x B splits, so the base
 points in a cell form a base of that factor.  :attr:`Factor.handle` is built
-only on demand; ``verify=True`` builds it and compares the two orders.
+only on demand.  ``verify=True`` checks each state of the walk once for
+separability, then builds every factor handle and compares the orders.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class OrbitPartition:
         self.cells = canon
         self._cell_of = {x: cell for cell in canon for x in cell}
 
-    @classmethod
-    def initial(cls) -> "OrbitPartition":
-        return cls(((1,),))
-
     @property
     def max_index(self) -> int:
         return max((cell[-1] for cell in self.cells), default=0)
@@ -101,16 +98,6 @@ class OrbitPartition:
     def __repr__(self) -> str:
         inner = "|".join("{" + ",".join(map(str, c)) + "}" for c in self.cells)
         return f"<{inner}>"
-
-
-@dataclass(frozen=True)
-class SeparableSGS:
-    """A strong generating set in which, up to the separability index i,
-    every element with nontrivial action on the first i orbits acts inside
-    exactly one cell of the current partition."""
-
-    elements: tuple[Permutation, ...]
-    separability_index: int
 
 
 @dataclass(frozen=True)
@@ -188,29 +175,27 @@ def _first_moved_orbit(x: Permutation, base: Sequence[int],
     return None
 
 
-def ddpd_step(handle: GroupHandle, i: int, sgs: SeparableSGS, partition: OrbitPartition,
-              records_out: list[SifteeRecord] | None = None,
-              verify: bool = False) -> tuple[SeparableSGS, OrbitPartition]:
-    """One refinement step: from an i-separable SGS and the finest partition
-    of orbits 1..i, produce the (i+1)-separable SGS and finest partition of
-    orbits 1..i+1.
+def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
+              partition: OrbitPartition, records_out: list[SifteeRecord] | None = None
+              ) -> tuple[tuple[Permutation, ...], OrbitPartition]:
+    """One refinement step: from an i-separable strong generating set and
+    the finest partition of orbits 1..i, produce the (i+1)-separable set and
+    the finest partition of orbits 1..i+1.
 
     Elements fixing the orbit prefix pass through unchanged; the rest are
     sifted by the prefix stabilizer (the chain tail), and a siftee moving
     orbit i+1 marks its cell for merging with {i+1}.
     """
     _check_step_index(handle, i)
-    if sgs.separability_index != i or partition.max_index != i:
-        raise ValueError("separability index and partition must both be at stage i")
+    if partition.max_index != i:
+        raise ValueError(f"partition covers orbits 1..{partition.max_index}, not 1..{i}")
     structure = handle.orbit_structure
-    if verify and not verify_separability(sgs, partition, structure):
-        raise InvariantViolation(f"SGS not {i}-separable before step {i}")
     next_orbit = structure.orbit(i + 1)
     start = pointwise_stabilizer_level(handle, i)
     prefix_base = handle.chain.base[:start - 1]
     marked: set[tuple[int, ...]] = set()
     new_elements = []
-    for x in sgs.elements:
+    for x in elements:
         j = _first_moved_orbit(x, prefix_base, structure)
         if j is None:
             new_elements.append(x)
@@ -230,21 +215,15 @@ def ddpd_step(handle: GroupHandle, i: int, sgs: SeparableSGS, partition: OrbitPa
             merged.extend(cell)
         else:
             cells.append(cell)
-    next_partition = OrbitPartition(cells + [merged])
-    next_sgs = SeparableSGS(tuple(new_elements), i + 1)
-    if verify and not verify_separability(next_sgs, next_partition, structure):
-        raise InvariantViolation(f"SGS not {i + 1}-separable after step {i}")
-    return next_sgs, next_partition
+    return tuple(new_elements), OrbitPartition(cells + [merged])
 
 
-def verify_separability(sgs: SeparableSGS, partition: OrbitPartition,
+def verify_separability(elements: Sequence[Permutation], partition: OrbitPartition,
                         structure: OrbitStructure) -> bool:
-    """True iff every element with nontrivial action on the first i orbits
-    touches exactly one cell of the partition."""
-    i = sgs.separability_index
-    if partition.max_index != i:
-        raise ValueError("partition must cover exactly the separability range")
-    for x in sgs.elements:
+    """True iff every element with nontrivial action on the orbits 1..i
+    that ``partition`` covers touches exactly one of its cells."""
+    i = partition.max_index
+    for x in elements:
         orbits = {structure.orbit_of_point(p) for p in x.support()}
         touched = {partition.cell_of(j) for j in orbits if j is not None and j <= i}
         if len(touched) > 1:
@@ -289,12 +268,15 @@ def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> Deco
 
 def decompose_handle(handle: GroupHandle, verify: bool = False) -> DecompositionResult:
     """Finest disjoint direct product decomposition of an orbit-ordered
-    group handle."""
-    k = handle.orbit_structure.k
-    sgs = SeparableSGS(handle.chain.strong_generators, 1)
-    partition = OrbitPartition.initial() if k else OrbitPartition(())
-    for i in range(1, k):
-        sgs, partition = ddpd_step(handle, i, sgs, partition, verify=verify)
+    group handle.  ``verify`` checks walk states 2..k for separability, once each."""
+    structure = handle.orbit_structure
+    elements = handle.chain.strong_generators
+    partition = OrbitPartition([[1]] if structure.k else [])
+    for i in range(1, structure.k):
+        elements, partition = ddpd_step(handle, i, elements, partition)
+        if verify and not verify_separability(elements, partition, structure):
+            raise InvariantViolation(f"strong generating set not {i + 1}-separable "
+                                     f"after step {i}")
     result = decomposition_result(handle, partition)
     if verify:
         for factor in result.factors:

@@ -142,7 +142,8 @@ def load_document(path: str) -> dict:
 
 def document_supports(doc: dict) -> frozenset[frozenset[int]]:
     """The document's factor supports.  Each must be a list of points of
-    1..degree; a bool is not a point, although ``True == 1``."""
+    1..degree; a bool is not a point, although ``True == 1``.  No point may
+    appear twice, in one support or in two: supports are compared as sets."""
     try:
         supports = [f["support"] for f in doc["factors"]]
     except (KeyError, TypeError) as exc:
@@ -151,6 +152,9 @@ def document_supports(doc: dict) -> frozenset[frozenset[int]]:
     for sup in supports:
         if type(sup) is not list or not all(type(p) is int and 1 <= p <= degree for p in sup):
             raise GroupFileError(f"factor support {sup!r} is not a list of points in 1..{degree}")
+    points = [p for sup in supports for p in sup]
+    if len(set(points)) < len(points):
+        raise GroupFileError("a point appears twice in the factor supports")
     return frozenset(map(frozenset, supports))
 
 

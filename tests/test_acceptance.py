@@ -14,7 +14,6 @@ from permdecomp import (
     OrderCapExceeded,
     Permutation,
     RandomInstanceSpec,
-    SeparableSGS,
     StabilizerChain,
     TransversalLevel,
     alternating,
@@ -77,15 +76,13 @@ def test_criterion_1_running_example_reproduction():
     assert handle.orbit_structure.orbits == ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
     assert handle.chain.base == (1, 4, 5, 7)
 
-    sgs = SeparableSGS(handle.chain.strong_generators, 1)
-    partition = OrbitPartition.initial()
-    sgs, p2 = ddpd_step(handle, 1, sgs, partition)
+    x2, p2 = ddpd_step(handle, 1, handle.chain.strong_generators, OrbitPartition([[1]]))
     assert p2 == OrbitPartition([[1], [2]])
-    sgs3, p3 = ddpd_step(handle, 2, sgs, p2)
+    x3, p3 = ddpd_step(handle, 2, x2, p2)
     assert p3 == OrbitPartition([[1], [2, 3]])
     expected_x3 = {parse_cycles(s, 12) for s in
                    ["(1,2,3)", "(4,5,6)", "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]}
-    assert set(sgs3.elements) == expected_x3
+    assert set(x3) == expected_x3
 
     n3 = compute_N_generators(handle, 2)
     assert build_chain(n3, 12).order == 3

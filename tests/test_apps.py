@@ -111,7 +111,7 @@ class TestClassCounting:
         expected = brute_class_count([tab(g) for g in h.generators], 4)
         assert expected == 5
         report = count_conjugacy_classes(h)
-        assert report.count == 5 and report.method == "whole-group"
+        assert report.count == 5 and report.per_factor_counts is None
 
     def test_d8(self):
         h = dihedral(8)
@@ -168,7 +168,6 @@ class TestClassCounting:
             [parse_cycles("(1,2,3)", 6), parse_cycles("(4,5,6)", 6)], 6)
         report = count_conjugacy_classes_via_ddpd(h)
         assert report.count == 9
-        assert report.method == "per-factor-product"
         assert report.per_factor_counts == (3, 3)
 
     def test_s4_times_s4(self):
@@ -202,7 +201,7 @@ class TestBenchmark:
         records = run_benchmark(spec, "classes", repetitions=1, time_limit=30)
         rec = records[0]
         assert rec.whole_completed and rec.factor_completed
-        assert rec.decomposition_time >= 0 and rec.peak_rss_kb > 0
+        assert rec.decomposition_time >= 0
 
     def test_decompose_task_columns(self):
         spec = RandomInstanceSpec(dihedral(8), 2, 2, seed=2)
@@ -226,8 +225,7 @@ class TestBenchmark:
         assert not records[0].factor_completed
 
     def test_median_is_middle_of_odd_count(self):
-        records = [BenchRecord(f"i{i}", "derived", float(t), True, 0.0, 1.0, True, 1)
-                   for i, t in enumerate([5, 1, 3])]
+        records = [BenchRecord("derived", float(t), True, 0.0, 1.0, True) for t in [5, 1, 3]]
         assert summarize(records)["whole"]["median"] == 3.0
 
     def test_unknown_task_rejected(self):

@@ -269,6 +269,33 @@ class TestUsageErrors:
         bad.write_text(json.dumps({"degree": 3, "factors": [{"support": support}]}))
         self.assert_one_error_line(capsys, ["verify", str(bad), str(good)], "factor support")
 
+    # supports are compared as sets, so a repeated point must not vanish into
+    # one: the A4 document has two factors
+    @pytest.mark.parametrize("damage", ["point_twice", "factor_twice", "shared_point"])
+    def test_support_repeats_a_point(self, tmp_path, capsys, damage):
+        group, good, bad = tmp_path / "a4.grp", tmp_path / "good.json", tmp_path / "bad.json"
+        main(["randgen", "--inner", "A4", "--r", "2", "--s", "3", "--seed", "3", str(group)])
+        capsys.readouterr()
+        main(["decompose", str(group)])
+        good.write_text(capsys.readouterr().out)
+        doc = json.loads(good.read_text())
+        first, second = doc["factors"]
+        if damage == "point_twice":
+            first["support"].append(first["support"][0])
+        elif damage == "factor_twice":
+            doc["factors"].append(first)
+        else:
+            second["support"].append(first["support"][0])
+        bad.write_text(json.dumps(doc))
+        self.assert_one_error_line(capsys, ["verify", str(bad), str(good)], "appears twice")
+
+    def test_bad_support_with_another_degree(self, tmp_path, capsys):
+        # a malformed document is a parse error before any comparison
+        bad, other = tmp_path / "bad.json", tmp_path / "other.json"
+        bad.write_text(json.dumps({"degree": 3, "factors": [{"support": [1, 1, 2, 3]}]}))
+        other.write_text(json.dumps({"degree": 4, "factors": [{"support": [1, 2, 3, 4]}]}))
+        self.assert_one_error_line(capsys, ["verify", str(bad), str(other)], "appears twice")
+
     def test_degree_not_an_integer(self, tmp_path, capsys):
         # degrees are compared, and supports checked against them, as integers
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
@@ -340,7 +367,9 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("flags", [["--r", "2", "--s", "2", "--reps", "0"],
                                        ["--r", "2,0", "--s", "2"],
-                                       ["--r", "2", "--s", "x"]])
+                                       ["--r", "2", "--s", "x"],
+                                       ["--r", ",", "--s", "2"],
+                                       ["--r", "2", "--s", ""]])
     def test_bad_sweep_values_are_parse_errors(self, capsys, flags):
         assert main(["bench", "--task", "decompose", "--inner", "D8", *flags]) == 1
         captured = capsys.readouterr()

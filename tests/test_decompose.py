@@ -11,7 +11,6 @@ from permdecomp import (
     OrbitPartition,
     Permutation,
     RandomInstanceSpec,
-    SeparableSGS,
     build_chain,
     compute_N_generators,
     compute_orbits,
@@ -127,10 +126,10 @@ class TestSifteeCells:
     def stage_two_records(self):
         # the running generators are a 2-separable strong generating set
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(tuple(running_gens()), 2)
         records = []
-        out, _ = ddpd_step(h, 2, sgs, OrbitPartition([[1], [2]]),
-                           records_out=records, verify=True)
+        out, p = ddpd_step(h, 2, tuple(running_gens()), OrbitPartition([[1], [2]]),
+                           records_out=records)
+        assert verify_separability(out, p, h.orbit_structure)
         return {r.original: r.cell for r in records}, out
 
     def test_x1_at_stage_two(self):
@@ -143,13 +142,13 @@ class TestSifteeCells:
 
     def test_x3_at_stage_three(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        p = OrbitPartition.initial()
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2):
-            sgs, p = ddpd_step(h, i, sgs, p)
+            elements, p = ddpd_step(h, i, elements, p)
         assert p == OrbitPartition([[1], [2, 3]])
         records = []
-        ddpd_step(h, 3, sgs, p, records_out=records, verify=True)
+        out, p4 = ddpd_step(h, 3, elements, p, records_out=records)
+        assert verify_separability(out, p4, h.orbit_structure)
         x3 = running_gens()[2]
         assert [r.cell for r in records if r.original == x3] == [(2, 3)]
 
@@ -157,7 +156,7 @@ class TestSifteeCells:
         cells, out = self.stage_two_records()
         x4 = running_gens()[3]
         assert x4 not in cells
-        assert out.elements[3] == x4
+        assert out[3] == x4
 
 
 class TestFirstMovedBasePoint:
@@ -178,12 +177,11 @@ class TestFirstMovedBasePoint:
             assert len(base) > structure.k  # several base points per orbit
             for x in h.chain.strong_generators:
                 assert _first_moved_orbit(x, base, structure) == self.smallest_orbit(x, structure)
-            sgs = SeparableSGS(h.chain.strong_generators, 1)
-            p = OrbitPartition.initial()
+            elements, p = h.chain.strong_generators, OrbitPartition([[1]])
             siftees = 0
             for i in range(1, structure.k):
                 records = []
-                sgs, nxt = ddpd_step(h, i, sgs, p, records_out=records)
+                elements, nxt = ddpd_step(h, i, elements, p, records_out=records)
                 prefix_base = base[:pointwise_stabilizer_level(h, i) - 1]
                 for rec in records:
                     j = self.smallest_orbit(rec.siftee, structure)
@@ -198,72 +196,68 @@ class TestFirstMovedBasePoint:
 class TestDdpdStep:
     def test_stage_one_splits_first_two_orbits(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        _, p2 = ddpd_step(h, 1, sgs, OrbitPartition.initial(), verify=True)
+        x2, p2 = ddpd_step(h, 1, h.chain.strong_generators, OrbitPartition([[1]]))
         assert p2 == OrbitPartition([[1], [2]])
+        assert verify_separability(x2, p2, h.orbit_structure)
 
     def test_stage_two_matches_walkthrough(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        sgs, p = ddpd_step(h, 1, sgs, OrbitPartition.initial())
+        x2, p = ddpd_step(h, 1, h.chain.strong_generators, OrbitPartition([[1]]))
         records = []
-        sgs3, p3 = ddpd_step(h, 2, sgs, p, records_out=records, verify=True)
+        x3, p3 = ddpd_step(h, 2, x2, p, records_out=records)
         assert p3 == OrbitPartition([[1], [2, 3]])
+        assert verify_separability(x3, p3, h.orbit_structure)
         expected_x3 = {parse_cycles(s, 12) for s in
                        ["(1,2,3)", "(4,5,6)", "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]}
-        assert set(sgs3.elements) == expected_x3
+        assert set(x3) == expected_x3
         moved = {str(r.original): r.next_orbit_moved for r in records}
         assert moved["(5,6)(8,9)(11,12)"] is True
 
     def test_stage_three_merges_last_orbit(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        p = OrbitPartition.initial()
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2, 3):
-            sgs, p = ddpd_step(h, i, sgs, p, verify=True)
+            elements, p = ddpd_step(h, i, elements, p)
+            assert verify_separability(elements, p, h.orbit_structure)
         assert p == OrbitPartition([[1], [2, 3, 4]])
 
     def test_stage_mismatch_rejected(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
         with pytest.raises(ValueError):
-            ddpd_step(h, 2, sgs, OrbitPartition.initial())
+            ddpd_step(h, 2, h.chain.strong_generators, OrbitPartition([[1]]))
 
     def test_step_past_the_last_orbit_rejected(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        p = OrbitPartition.initial()
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2, 3):
-            sgs, p = ddpd_step(h, i, sgs, p)
+            elements, p = ddpd_step(h, i, elements, p)
         with pytest.raises(ValueError, match=r"1\.\.3"):
-            ddpd_step(h, 4, sgs, p)
+            ddpd_step(h, 4, elements, p)
 
     def test_each_step_keeps_a_strong_generating_set(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        p = OrbitPartition.initial()
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2, 3):
-            sgs, p = ddpd_step(h, i, sgs, p)
-            assert verify_separability(sgs, p, h.orbit_structure)
-            rebuilt = build_chain(list(sgs.elements), 12)
+            elements, p = ddpd_step(h, i, elements, p)
+            assert type(elements) is tuple
+            assert verify_separability(elements, p, h.orbit_structure)
+            rebuilt = build_chain(list(elements), 12)
             assert rebuilt.order == h.order
 
 
 class TestVerifySeparability:
     def test_original_set_two_separable(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(tuple(running_gens()), 2)
-        assert verify_separability(sgs, OrbitPartition([[1], [2]]), h.orbit_structure)
+        assert verify_separability(running_gens(), OrbitPartition([[1], [2]]), h.orbit_structure)
 
     def test_original_set_not_three_separable(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(tuple(running_gens()), 3)
-        assert not verify_separability(sgs, OrbitPartition([[1], [2, 3]]), h.orbit_structure)
+        assert not verify_separability(running_gens(), OrbitPartition([[1], [2, 3]]),
+                                       h.orbit_structure)
 
     def test_single_cell_always_separable(self):
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(tuple(running_gens()), 1)
-        assert verify_separability(sgs, OrbitPartition.initial(), h.orbit_structure)
+        assert verify_separability(running_gens(), OrbitPartition([[1]]), h.orbit_structure)
 
 
 # instances on which a walk that never merges cells yields a wrong answer
@@ -381,14 +375,13 @@ class TestDecompose:
     def test_monotone_refinement(self):
         # cells not merged at a step survive verbatim into the next partition
         h = GroupHandle.from_generators(running_gens(), 12)
-        sgs = SeparableSGS(h.chain.strong_generators, 1)
-        p = OrbitPartition.initial()
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2, 3):
-            nxt_sgs, nxt = ddpd_step(h, i, sgs, p)
+            elements, nxt = ddpd_step(h, i, elements, p)
             merged = next(c for c in nxt.cells if i + 1 in c)
             for cell in p.cells:
                 assert cell in nxt.cells or set(cell) <= set(merged)
-            sgs, p = nxt_sgs, nxt
+            p = nxt
 
 
 class TestFactorsFromTheChain:
@@ -398,9 +391,9 @@ class TestFactorsFromTheChain:
                   else seeded_handle(*instance))
         step = decompose_module.ddpd_step
 
-        def never_merging_step(handle, i, sgs, partition, records_out=None, verify=False):
-            next_sgs, _ = step(handle, i, sgs, partition)
-            return next_sgs, OrbitPartition(list(partition.cells) + [[i + 1]])
+        def never_merging_step(handle, i, elements, partition, records_out=None):
+            next_elements, _ = step(handle, i, elements, partition)
+            return next_elements, OrbitPartition(list(partition.cells) + [[i + 1]])
 
         monkeypatch.setattr(decompose_module, "ddpd_step", never_merging_step)
         with pytest.raises(InvariantViolation, match="separable"):
@@ -414,15 +407,59 @@ class TestFactorsFromTheChain:
         last = handle.orbit_structure.k - 1
         step = decompose_module.ddpd_step
 
-        def dropping_step(handle, i, sgs, partition, records_out=None, verify=False):
-            next_sgs, next_partition = step(handle, i, sgs, partition)
+        def dropping_step(handle, i, elements, partition, records_out=None):
+            next_elements, next_partition = step(handle, i, elements, partition)
             if i == last:
-                next_sgs = SeparableSGS(next_sgs.elements[:-1], i + 1)
-            return next_sgs, next_partition
+                next_elements = next_elements[:-1]
+            return next_elements, next_partition
 
         monkeypatch.setattr(decompose_module, "ddpd_step", dropping_step)
         for factor in decompose_handle(handle).factors:
             assert factor.handle.order == factor.order
+
+    @pytest.mark.parametrize("instance", ["running", SEEDED[0]], ids=instance_id)
+    def test_verify_checks_each_state_once(self, monkeypatch, instance):
+        # states 2..k, one call each; state 1 is a single cell
+        handle = instance_handle(instance)
+        calls = []
+        check = decompose_module.verify_separability
+
+        def counting_check(elements, partition, structure):
+            calls.append(partition.max_index)
+            return check(elements, partition, structure)
+
+        monkeypatch.setattr(decompose_module, "verify_separability", counting_check)
+        decompose_handle(handle, verify=True)
+        assert calls == list(range(2, handle.orbit_structure.k + 1))
+
+    @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
+    def test_non_separable_last_state_is_caught(self, monkeypatch, instance):
+        # the product of two elements acting in different cells lies in the
+        # group, so the membership certificate passes; only the scan of the
+        # walk's final state sees it
+        handle = instance_handle(instance)
+        structure = handle.orbit_structure
+        last = structure.k - 1
+        step = decompose_module.ddpd_step
+        finest = decompose_handle(handle).partition
+
+        def smuggling_step(handle, i, elements, partition, records_out=None):
+            next_elements, next_partition = step(handle, i, elements, partition)
+            if i == last:
+                by_cell = {}
+                for x in next_elements:
+                    cells = {next_partition.cell_of(structure.orbit_of_point(p))
+                             for p in x.support()}
+                    if len(cells) == 1:
+                        by_cell.setdefault(cells.pop(), x)
+                a, b = list(by_cell.values())[:2]
+                next_elements += (a * b,)
+            return next_elements, next_partition
+
+        monkeypatch.setattr(decompose_module, "ddpd_step", smuggling_step)
+        assert decompose_handle(handle).partition == finest
+        with pytest.raises(InvariantViolation, match=f"not {last + 1}-separable"):
+            decompose_handle(handle, verify=True)
 
     @staticmethod
     def assert_orders_agree(handle):
