@@ -11,8 +11,12 @@ restricted to a union of orbits C is a subdirect product of its restrictions
 A = H|_T and B = H|_{C\\T} to the two halves, and a subdirect product of
 A x B equals A x B exactly when A x 1 is contained in it.  A x 1 is
 generated by the generators of H|_C restricted to T, so the split holds iff
-each of those restrictions sifts through an exact chain of H|_C.  The
-pairs-first pass asks the same question of each two-orbit restriction.
+each of those restrictions sifts through an exact chain of H|_C.  Only the
+generators that move both sides need a sift, since the others restrict to
+themselves or to the identity.  A node builds its chain on its first sift,
+so a node whose generators each act inside one side costs no chain.  The
+pairs-first pass asks the same question of each two-orbit restriction whose
+orbits are not yet glued.
 :func:`verify_decomposition` keeps the order argument (the cell restriction
 orders multiply to |H|) on fresh chains, as a check independent of the
 search.
@@ -68,11 +72,8 @@ class RandomInstanceSpec:
 
 def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[list[Permutation], list[int]]:
     support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
-    gens = []
-    for g in handle.generators:
-        r = g.restrict(support)
-        if not r.is_identity():
-            gens.append(r)
+    gens = [g.restrict(support) for g in handle.generators
+            if any(g._img[p - 1] != p - 1 for p in support)]
     return gens, support
 
 
@@ -83,30 +84,29 @@ def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
     return build_chain(gens, handle.degree, support).order
 
 
-def _node(handle: GroupHandle, key: frozenset[int]):
-    """The restriction of the group to the orbit subset ``key``: its
-    generators, each with its support, and an exact chain."""
-    if len(key) == handle.orbit_structure.k:
-        gens, chain = handle.generators, handle.chain
-        support = handle.orbit_structure.support()
-    else:
-        gens, support = _restricted_generators(handle, key)
-        chain = build_chain(gens, handle.degree, support)
-    # supports read over the node's own points, not all of 1..degree
-    profile = [(g, frozenset(p for p in support if g._img[p - 1] != p - 1)) for g in gens]
-    return profile, chain
+def _node(handle: GroupHandle, moved, key: frozenset[int]):
+    """The restriction of the group to the orbit subset ``key``: the input
+    generators that move it, each with the orbits of ``key`` it moves, and a
+    membership test whose exact chain is built on its first call."""
+    profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
+    chain = handle.chain if len(key) == handle.orbit_structure.k else None
+
+    def member(x: Permutation) -> bool:
+        nonlocal chain
+        if chain is None:
+            gens, support = _restricted_generators(handle, key)
+            chain = build_chain(gens, handle.degree, support)
+        return is_member(chain, x)
+    return profile, member
 
 
-def _splits(profile, chain, left_support: frozenset[int]) -> bool:
-    """Whether the node group H|_C is H|_T x H|_{C\\T} for T = left_support:
-    every generator moving points on both sides, restricted to T, lies in
-    H|_C."""
-    for g, gsup in profile:
-        if gsup <= left_support or not (gsup & left_support):
-            continue
-        if not is_member(chain, g.restrict(left_support)):
-            return False
-    return True
+def _splits(profile, member, left: frozenset[int], structure) -> bool:
+    """Whether the node group H|_C is H|_T x H|_{C\\T} for T the union of
+    the orbits in ``left``: every generator moving orbits on both sides,
+    restricted to T (a union of orbits, so invariant), lies in H|_C."""
+    left_support = [p for j in left for p in structure.orbit(j)]
+    return all(member(g.restrict(left_support)) for g, orbits in profile
+               if not orbits <= left and orbits & left)
 
 
 def verify_decomposition(handle: GroupHandle, partition: OrbitPartition) -> bool:
@@ -141,13 +141,25 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
     if k == 0:
         return OrbitPartition(())
     structure = handle.orbit_structure
+    # each input generator with the orbits it moves; a node keeps those that
+    # move it, and a split test sifts only those moving both sides
+    moved = [(g, frozenset(structure.orbit_of_point(p + 1) for p, q in enumerate(g._img)
+                           if p != q)) for g in handle.generators]
 
-    # every orbit starts as a unit of its own; the pairs pass tests every
-    # pair and glues the units of a pair whose restriction does not split
+    def check_deadline() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise ComputationTimeout("brute-force decomposition timed out")
+
+    # every orbit starts as a unit of its own; the pairs pass tests each pair
+    # of orbits in different units and glues the units of a pair whose
+    # restriction does not split
     unit_of = {j: (j,) for j in range(1, k + 1)}
     if pairs_first:
         for a, b in combinations(range(1, k + 1), 2):
-            if not _splits(*_node(handle, frozenset((a, b))), frozenset(structure.orbit(a))):
+            if b in unit_of[a]:
+                continue
+            check_deadline()
+            if not _splits(*_node(handle, moved, frozenset((a, b))), frozenset((a,)), structure):
                 glued = tuple(sorted({*unit_of[a], *unit_of[b]}))
                 unit_of.update(dict.fromkeys(glued, glued))
     units = sorted(set(unit_of.values()))
@@ -156,20 +168,18 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
         indices = tuple(sorted(x for unit in current for x in unit))
         if len(current) == 1:
             return [indices]
-        # one exact chain per recursion node; every candidate bipartition is
-        # then a handful of membership sifts
-        profile, chain = _node(handle, frozenset(indices))
+        # one node per recursion step; its exact chain is built only when a
+        # candidate bipartition leaves a generator moving both halves
+        profile, member = _node(handle, moved, frozenset(indices))
         for size in range(1, len(current) // 2 + 1):
             for chosen in combinations(range(len(current)), size):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ComputationTimeout("brute-force decomposition timed out")
+                check_deadline()
                 # unordered bipartitions: when halves have equal unit
                 # counts, pin unit 0 to the chosen side
                 if 2 * size == len(current) and chosen[0] != 0:
                     continue
-                left_support = frozenset(p for idx in chosen
-                                         for j in current[idx] for p in structure.orbit(j))
-                if _splits(profile, chain, left_support):
+                left = frozenset(j for idx in chosen for j in current[idx])
+                if _splits(profile, member, left, structure):
                     chosen_set = set(chosen)
                     picked = tuple(current[idx] for idx in chosen)
                     rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)

@@ -34,6 +34,22 @@ def tab_inverse(a):
     return tuple(inv)
 
 
+def nielsen_mix(gen_tabs, rng, moves):
+    """Generator tuples after ``moves`` seeded Nielsen moves g_i <- g_i g_j
+    or g_i <- g_i g_j^-1 (i != j).  Each move keeps the generated group, so
+    its orbits, order and finest partition stay the same, while a generator
+    comes to act on several factors at once.  Fewer than two generators are
+    returned unchanged."""
+    gens = [tuple(g) for g in gen_tabs]
+    if len(gens) < 2:
+        return gens
+    for _ in range(moves):
+        i, j = rng.sample(range(len(gens)), 2)
+        other = gens[j] if rng.random() < 0.5 else tab_inverse(gens[j])
+        gens[i] = tab_compose(gens[i], other)
+    return gens
+
+
 def closure(gen_tabs, degree, limit=None):
     """All elements of the generated group, as image tuples (BFS closure).
 

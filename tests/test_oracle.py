@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import permdecomp.oracle as oracle_module
 from permdecomp import (
     ComputationTimeout,
     GroupHandle,
@@ -23,6 +24,7 @@ from permdecomp import (
     symmetric,
     verify_decomposition,
 )
+from oracles import nielsen_mix, tab
 
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
@@ -52,6 +54,11 @@ class TestVerifyDecomposition:
             verify_decomposition(running_handle(), OrbitPartition([[1], [2, 3]]))
 
 
+PAIRS_FIRST_INSTANCES = [(dihedral(8), 2, 2, 1), (dihedral(8), 2, 2, 2), (dihedral(8), 2, 2, 3),
+                         (cyclic(2), 2, 4, 2), (alternating(4), 2, 3, 1), (symmetric(4), 2, 3, 2),
+                         (dihedral(8), 1, 4, 1)]
+
+
 class TestBruteForce:
     def test_running_example(self):
         assert brute_force_decompose(running_handle()) == OrbitPartition([[1], [2, 3, 4]])
@@ -73,10 +80,7 @@ class TestBruteForce:
         assert len(brute_force_decompose(h, cap=13).cells) == 13
 
     def test_pairs_first_agrees(self):
-        for inner, r, s, seed in [(dihedral(8), 2, 2, 1), (dihedral(8), 2, 2, 2),
-                                  (dihedral(8), 2, 2, 3), (cyclic(2), 2, 4, 2),
-                                  (alternating(4), 2, 3, 1), (symmetric(4), 2, 3, 2),
-                                  (dihedral(8), 1, 4, 1)]:
+        for inner, r, s, seed in PAIRS_FIRST_INSTANCES:
             H, expected = random_ddp_group(RandomInstanceSpec(inner, r, s, seed))
             glued = brute_force_decompose(H, pairs_first=True)
             assert glued == expected == brute_force_decompose(H, pairs_first=False)
@@ -100,6 +104,52 @@ class TestBruteForce:
         H, _ = random_ddp_group(RandomInstanceSpec(symmetric(4), 3, 3, seed=1))
         with pytest.raises(ComputationTimeout):
             brute_force_decompose(H, cap=40, deadline=0.0)
+        # the pairs pass glues all four orbits, so the recursion never runs
+        # and only the pairs pass can notice the deadline
+        H, _ = random_ddp_group(RandomInstanceSpec(dihedral(8), 1, 4, seed=1))
+        with pytest.raises(ComputationTimeout):
+            brute_force_decompose(H, cap=40, pairs_first=True, deadline=0.0)
+
+    def test_unlinked_pairs_build_no_chain(self, monkeypatch):
+        H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 4, 3, seed=1))
+        structure = H.orbit_structure
+        chains = []
+        build_chain = oracle_module.build_chain
+
+        def recording(gens, degree, candidates=None):
+            chains.append(frozenset(candidates))
+            return build_chain(gens, degree, candidates)
+
+        monkeypatch.setattr(oracle_module, "build_chain", recording)
+        assert brute_force_decompose(H, pairs_first=True) == expected
+        linked = [{structure.orbit_of_point(p) for p in range(1, H.degree + 1)
+                   if g.image(p) != p} for g in H.generators]
+        # a chain is built only where some generator moves two of its orbits
+        for points in chains:
+            inside = {structure.orbit_of_point(p) for p in points}
+            assert any(len(orbits & inside) >= 2 for orbits in linked)
+        # 66 pairs and the recursion nodes, most of them linked by no generator
+        assert len(chains) <= 12
+        assert brute_force_decompose(H, pairs_first=False) == expected
+
+    def test_mixed_generators(self):
+        # Nielsen moves make most generators act on several factors, so most
+        # pairs and nodes need a chain; every answer must stay the truth
+        rng = random.Random(2004)
+        for inner, r, s, seed in PAIRS_FIRST_INSTANCES:
+            H, expected = random_ddp_group(RandomInstanceSpec(inner, r, s, seed))
+            gens = [Permutation(t) for t in
+                    nielsen_mix([tab(g) for g in H.generators], rng, 2 * len(H.generators))]
+            M = GroupHandle.from_generators(gens, H.degree)
+            assert M.order == H.order
+            assert M.orbit_structure.orbits == H.orbit_structure.orbits
+            cell_of = {j: c for c, cell in enumerate(expected.cells) for j in cell}
+            assert r == 1 or any(len({cell_of[M.orbit_structure.orbit_of_point(p)]
+                                      for p in range(1, H.degree + 1) if g.image(p) != p}) > 1
+                                 for g in gens)
+            assert brute_force_decompose(M, pairs_first=True) == expected
+            assert brute_force_decompose(M, pairs_first=False) == expected
+            assert decompose(gens, H.degree).partition == expected
 
 
 class TestIndecomposable:
