@@ -44,16 +44,21 @@ print("stabilizer of orbits 1-3, projected onto orbit 4:",
 
 print("\niterating the refinement step:")
 # the walk starts from the chain's strong generators and the one-cell
-# partition of orbit 1; each step returns a plain tuple and the next partition
+# partition of orbit 1; each step returns a tuple lined up with its input,
+# where an element moving orbits 1..i was sifted and the rest pass unchanged
+structure = handle.orbit_structure
 elements = handle.chain.strong_generators
 partition = OrbitPartition([[1]])
-for i in range(1, handle.orbit_structure.k):
-    records = []
-    elements, partition = ddpd_step(handle, i, elements, partition, records_out=records)
-    for r in records:
-        mark = "moves orbit %d -> merge its cell" % (i + 1) if r.next_orbit_moved else "clean"
-        print(f"   step {i}: {r.original} sifts to {r.siftee} [{mark}]")
+for i in range(1, structure.k):
+    prefix = [p for j in range(1, i + 1) for p in structure.orbit(j)]
+    out, partition = ddpd_step(handle, i, elements, partition)
+    for x, siftee in zip(elements, out):
+        if x.moves_any(prefix):
+            moved = siftee.moves_any(structure.orbit(i + 1))
+            mark = "moves orbit %d -> merge its cell" % (i + 1) if moved else "clean"
+            print(f"   step {i}: {x} sifts to {siftee} [{mark}]")
     print(f"   partition of orbits 1..{i + 1}: {partition}")
+    elements = out
 
 result = decompose_handle(handle)
 print("\nfinal decomposition:")

@@ -60,18 +60,6 @@ class ClassCountReport:
     per_factor_counts: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """Timings for one benchmark instance, in seconds."""
-
-    task: str
-    whole_time: float | None
-    whole_completed: bool
-    decomposition_time: float
-    factor_time: float | None
-    factor_completed: bool
-
-
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
     return a.inverse() * b.inverse() * a * b
 
@@ -230,19 +218,29 @@ def _timed(fn, deadline_seconds: float | None):
     return time.perf_counter() - start, True
 
 
+def _column(runs: Sequence[tuple[float, bool]]) -> dict:
+    """Median seconds over the completed runs, and how many completed."""
+    done = [t for t, ok in runs if ok]
+    return {"median": round(median(done), 4) if done else None,
+            "completed": sum(ok for _, ok in runs)}
+
+
 def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
-                  time_limit: float | None = None) -> list[BenchRecord]:
-    """Time one (inner, r, s) configuration over several fresh instances.
+                  time_limit: float | None = None) -> dict:
+    """Time one (inner, r, s) configuration over several fresh instances,
+    and return its summary row: per column, the median over the completed
+    repetitions and how many completed.
 
     Tasks: ``derived`` and ``classes`` compare the whole-group computation
-    against decomposition plus per-factor computation; ``decompose``
-    compares the brute-force baseline (as the whole-group column) against
-    the fast decomposition.  Instances are derived deterministically from
-    ``spec.seed``; timeouts and cap hits are recorded as incomplete.
+    (column ``whole``) against decomposition plus per-factor computation
+    (``decomposition`` and ``per_factor``); ``decompose`` compares the
+    brute-force baseline (as ``whole``) against the fast decomposition and
+    has no ``per_factor`` column.  Instances are derived deterministically
+    from ``spec.seed``; timeouts and cap hits are counted as incomplete.
     """
     if task not in ("derived", "classes", "decompose"):
         raise ValueError(f"unknown task {task!r}")
-    records = []
+    whole, decomposition, per_factor = [], [], []
     for rep in range(repetitions):
         inst_spec = RandomInstanceSpec(spec.inner_group, spec.r, spec.s,
                                        seed=spec.seed * 100_003 + rep)
@@ -250,57 +248,27 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
 
         start = time.perf_counter()
         result = decompose_handle(handle)
-        decomposition_time = time.perf_counter() - start
+        decomposition.append((time.perf_counter() - start, True))
 
         if task == "decompose":
-            whole_time, whole_ok = _timed(
+            whole.append(_timed(
                 lambda dl: brute_force_decompose(
                     handle, cap=max(DEFAULT_ORBIT_CAP, spec.r * spec.s), deadline=dl),
-                time_limit)
-            factor_time, factor_ok = None, True
+                time_limit))
         elif task == "derived":
-            whole_time, whole_ok = _timed(lambda dl: derived_subgroup(handle, deadline=dl),
-                                          time_limit)
-            factor_time, factor_ok = _timed(
+            whole.append(_timed(lambda dl: derived_subgroup(handle, deadline=dl), time_limit))
+            per_factor.append(_timed(
                 lambda dl: derived_subgroup_via_ddpd(handle, result=result, deadline=dl),
-                time_limit)
+                time_limit))
         else:
-            whole_time, whole_ok = _timed(
-                lambda dl: count_conjugacy_classes(handle, deadline=dl),
-                time_limit)
-            factor_time, factor_ok = _timed(
+            whole.append(_timed(lambda dl: count_conjugacy_classes(handle, deadline=dl),
+                                time_limit))
+            per_factor.append(_timed(
                 lambda dl: count_conjugacy_classes_via_ddpd(handle, result=result, deadline=dl),
-                time_limit)
+                time_limit))
 
-        records.append(BenchRecord(
-            task=task,
-            whole_time=whole_time,
-            whole_completed=whole_ok,
-            decomposition_time=decomposition_time,
-            factor_time=factor_time,
-            factor_completed=factor_ok,
-        ))
-    return records
-
-
-def summarize(records: Sequence[BenchRecord]) -> dict:
-    """Median-and-completion summary of one benchmark row."""
-    def column(times, flags):
-        done = [t for t, ok in zip(times, flags) if ok]
-        return {
-            "median": round(median(done), 4) if done else None,
-            "completed": sum(flags),
-        }
-
-    out = {
-        "task": records[0].task if records else None,
-        "reps": len(records),
-        "whole": column([r.whole_time for r in records],
-                        [r.whole_completed for r in records]),
-        "decomposition": column([r.decomposition_time for r in records],
-                                [True] * len(records)),
-    }
-    if records and records[0].factor_time is not None:
-        out["per_factor"] = column([r.factor_time for r in records],
-                                   [r.factor_completed for r in records])
-    return out
+    row = {"task": task, "reps": repetitions, "whole": _column(whole),
+           "decomposition": _column(decomposition)}
+    if task != "decompose":
+        row["per_factor"] = _column(per_factor)
+    return row

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .apps import run_benchmark, summarize
+from .apps import run_benchmark
 from .decompose import InvariantViolation, decompose_handle, decomposition_result
 from .groupfile import (
     GroupFileError,
@@ -159,10 +159,9 @@ def cmd_bench(args) -> int:
     for r in rs:
         for s in ss:
             spec = RandomInstanceSpec(inner, r, s, args.seed)
-            records = run_benchmark(spec, args.task, args.reps, args.time_limit)
-            summary = summarize(records)
-            summary.update({"inner": args.inner, "r": r, "s": s})
-            rows.append(summary)
+            row = run_benchmark(spec, args.task, args.reps, args.time_limit)
+            row.update({"inner": args.inner, "r": r, "s": s})
+            rows.append(row)
     if args.json:
         for row in rows:
             sys.stdout.write(json.dumps(row) + "\n")

@@ -101,16 +101,6 @@ class OrbitPartition:
 
 
 @dataclass(frozen=True)
-class SifteeRecord:
-    """One sifting event inside a decomposition step."""
-
-    original: Permutation
-    siftee: Permutation
-    cell: tuple[int, ...]
-    next_orbit_moved: bool
-
-
-@dataclass(frozen=True)
 class Factor:
     """One indecomposable factor of the decomposition."""
 
@@ -176,15 +166,15 @@ def _first_moved_orbit(x: Permutation, base: Sequence[int],
 
 
 def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
-              partition: OrbitPartition, records_out: list[SifteeRecord] | None = None
-              ) -> tuple[tuple[Permutation, ...], OrbitPartition]:
+              partition: OrbitPartition) -> tuple[tuple[Permutation, ...], OrbitPartition]:
     """One refinement step: from an i-separable strong generating set and
     the finest partition of orbits 1..i, produce the (i+1)-separable set and
     the finest partition of orbits 1..i+1.
 
-    Elements fixing the orbit prefix pass through unchanged; the rest are
-    sifted by the prefix stabilizer (the chain tail), and a siftee moving
-    orbit i+1 marks its cell for merging with {i+1}.
+    The returned tuple lines up with ``elements``: position m holds element
+    m's siftee by the prefix stabilizer (the chain tail), or element m itself
+    when it fixes orbits 1..i.  A siftee moving orbit i+1 marks for merging
+    with {i+1} the cell of the smallest orbit its original moves.
     """
     _check_step_index(handle, i)
     if partition.max_index != i:
@@ -200,14 +190,10 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
         if j is None:
             new_elements.append(x)
             continue
-        cell = partition.cell_of(j)
         siftee, _ = sift(handle.chain, x, start)
         new_elements.append(siftee)
-        moved = siftee.moves_any(next_orbit)
-        if moved:
-            marked.add(cell)
-        if records_out is not None:
-            records_out.append(SifteeRecord(x, siftee, cell, moved))
+        if siftee.moves_any(next_orbit):
+            marked.add(partition.cell_of(j))
     merged = [i + 1]
     cells = []
     for cell in partition.cells:

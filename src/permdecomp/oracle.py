@@ -189,12 +189,13 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
     return OrbitPartition(split(tuple(units)))
 
 
-def is_ddp_indecomposable(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP) -> bool:
+def is_ddp_indecomposable(handle: GroupHandle) -> bool:
     """True iff the group admits no decomposition into factors with disjoint
-    supports (equivalently, the brute-force partition has a single cell)."""
+    supports (equivalently, the brute-force partition has a single cell).
+    Raises OrbitCapExceeded above ``DEFAULT_ORBIT_CAP`` orbits."""
     if handle.orbit_structure.k <= 1:
         return True
-    return len(brute_force_decompose(handle, cap).cells) == 1
+    return len(brute_force_decompose(handle).cells) == 1
 
 
 def _direct_sum(parts: Sequence[Permutation], degree: int) -> Permutation:
@@ -215,13 +216,18 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
     Draws i uniform in {2..s} (i = 1 when s = 1), generates the group by i
     random elements of the s-fold product, and accepts iff the result is
     indecomposable and surjects onto every copy.  Retries up to ``budget``
-    times before giving up.
+    times before giving up.  Acceptance runs the brute-force oracle, whose
+    cost grows exponentially with s, so s above ``DEFAULT_ORBIT_CAP`` raises
+    OrbitCapExceeded before any candidate is drawn.
     """
     d = inner.degree
     if inner.orbit_structure.k != 1 or len(inner.orbit_structure.orbit(1)) != d:
         raise ValueError("inner group must be transitive on its full point set")
     if s < 1:
         raise ValueError("s must be at least 1")
+    if s > DEFAULT_ORBIT_CAP:
+        raise OrbitCapExceeded(f"s={s} copies exceed the orbit cap {DEFAULT_ORBIT_CAP}: "
+                               "accepting a subdirect product runs the brute-force oracle")
     degree = s * d
     target = inner.order
     blocks = [tuple(range(b * d + 1, (b + 1) * d + 1)) for b in range(s)]
@@ -235,7 +241,7 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
             continue
         if any(restriction_order(candidate, (b,)) != target for b in range(1, s + 1)):
             continue
-        if not is_ddp_indecomposable(candidate, cap=max(DEFAULT_ORBIT_CAP, s)):
+        if not is_ddp_indecomposable(candidate):
             continue
         return candidate
     raise RetryBudgetExhausted(

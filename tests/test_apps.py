@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from permdecomp import (
-    BenchRecord,
     GroupHandle,
     OrderCapExceeded,
     Permutation,
@@ -23,7 +22,7 @@ from permdecomp import (
     run_benchmark,
     symmetric,
 )
-from permdecomp.apps import iter_elements, summarize
+from permdecomp.apps import _column, iter_elements
 from permdecomp.groups import by_name
 
 from oracles import brute_class_count, brute_derived_order, closure, on_points, tab
@@ -198,35 +197,35 @@ class TestClassCounting:
 class TestBenchmark:
     def test_tiny_instance_completes(self):
         spec = RandomInstanceSpec(cyclic(3), 2, 2, seed=1)
-        records = run_benchmark(spec, "classes", repetitions=1, time_limit=30)
-        rec = records[0]
-        assert rec.whole_completed and rec.factor_completed
-        assert rec.decomposition_time >= 0
+        row = run_benchmark(spec, "classes", repetitions=1, time_limit=30)
+        assert row["reps"] == 1
+        assert row["whole"]["completed"] == row["per_factor"]["completed"] == 1
+        assert row["decomposition"]["median"] >= 0
 
     def test_decompose_task_columns(self):
         spec = RandomInstanceSpec(dihedral(8), 2, 2, seed=2)
-        records = run_benchmark(spec, "decompose", repetitions=3, time_limit=30)
-        assert len(records) == 3
-        summary = summarize(records)
-        assert summary["whole"]["completed"] == 3
-        assert summary["decomposition"]["median"] is not None
+        row = run_benchmark(spec, "decompose", repetitions=3, time_limit=30)
+        assert list(row) == ["task", "reps", "whole", "decomposition"]
+        assert row["task"] == "decompose" and row["reps"] == 3
+        assert row["whole"]["completed"] == 3
+        assert row["decomposition"]["median"] is not None
 
     def test_classes_task_records_incomplete_whole_group(self):
         spec = RandomInstanceSpec(dihedral(8), 6, 4, seed=3)
-        records = run_benchmark(spec, "classes", repetitions=1, time_limit=30)
-        rec = records[0]
-        assert not rec.whole_completed
-        assert rec.factor_completed
+        row = run_benchmark(spec, "classes", repetitions=1, time_limit=30)
+        assert row["whole"] == {"median": None, "completed": 0}
+        assert row["per_factor"]["completed"] == 1
 
     @pytest.mark.parametrize("task", ["classes", "derived"])
     def test_time_limit_applies_to_per_factor_column(self, task):
         spec = RandomInstanceSpec(symmetric(4), 2, 3, 1)
-        records = run_benchmark(spec, task, 1, time_limit=1e-6)
-        assert not records[0].factor_completed
+        row = run_benchmark(spec, task, 1, time_limit=1e-6)
+        assert row["per_factor"]["completed"] == 0
 
     def test_median_is_middle_of_odd_count(self):
-        records = [BenchRecord("derived", float(t), True, 0.0, 1.0, True) for t in [5, 1, 3]]
-        assert summarize(records)["whole"]["median"] == 3.0
+        # the median is over completed runs only
+        runs = [(5.0, True), (1.0, True), (100.0, False), (3.0, True)]
+        assert _column(runs) == {"median": 3.0, "completed": 3}
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):

@@ -194,6 +194,14 @@ class TestRandgenCommand:
         assert err.startswith("error: --") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_copies_above_the_orbit_cap_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "big.grp"
+        assert main(["randgen", "--inner", "C3", "--r", "2", "--s", "42", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: s=42 ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestUsageErrors:
     # every bad command line exits 1 with one "error:" line, never argparse's 2

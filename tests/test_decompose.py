@@ -27,7 +27,7 @@ from permdecomp import (
 from permdecomp.decompose import _first_moved_orbit, decomposition_result
 from permdecomp.groups import by_name
 
-from oracles import brute_finest_partition, closure, orbit_order_relabelling, tab
+from oracles import brute_finest_partition, closure, nielsen_mix, orbit_order_relabelling, tab
 
 # the package re-exports the function decompose under the module's name
 decompose_module = importlib.import_module("permdecomp.decompose")
@@ -120,24 +120,39 @@ class TestComputeN:
             compute_N_generators(h, 4)
 
 
-class TestSifteeCells:
-    # the cell a step assigns an element, as seen through SifteeRecord.cell
+def smallest_orbit(x, structure):
+    # k + 1 for an element that moves no point: it passes every step
+    return min((structure.orbit_of_point(q) for q in x.support()), default=structure.k + 1)
 
-    def stage_two_records(self):
+
+class TestSifteeCells:
+    # the cell a step assigns an element is the cell of the smallest orbit
+    # it moves; the step's output tuple lines up with its input
+
+    @staticmethod
+    def step_cells(h, i, elements, p):
+        out, nxt = ddpd_step(h, i, elements, p)
+        structure = h.orbit_structure
+        cells = {}
+        for x in elements:
+            j = smallest_orbit(x, structure)
+            if j <= i:
+                cells[x] = p.cell_of(j)
+        return cells, out, nxt
+
+    def stage_two_cells(self):
         # the running generators are a 2-separable strong generating set
         h = GroupHandle.from_generators(running_gens(), 12)
-        records = []
-        out, p = ddpd_step(h, 2, tuple(running_gens()), OrbitPartition([[1], [2]]),
-                           records_out=records)
+        cells, out, p = self.step_cells(h, 2, tuple(running_gens()), OrbitPartition([[1], [2]]))
         assert verify_separability(out, p, h.orbit_structure)
-        return {r.original: r.cell for r in records}, out
+        return cells, out
 
     def test_x1_at_stage_two(self):
-        cells, _ = self.stage_two_records()
+        cells, _ = self.stage_two_cells()
         assert cells[running_gens()[0]] == (1,)
 
     def test_x3_at_stage_two(self):
-        cells, _ = self.stage_two_records()
+        cells, _ = self.stage_two_cells()
         assert cells[running_gens()[2]] == (2,)
 
     def test_x3_at_stage_three(self):
@@ -146,26 +161,58 @@ class TestSifteeCells:
         for i in (1, 2):
             elements, p = ddpd_step(h, i, elements, p)
         assert p == OrbitPartition([[1], [2, 3]])
-        records = []
-        out, p4 = ddpd_step(h, 3, elements, p, records_out=records)
+        cells, out, p4 = self.step_cells(h, 3, elements, p)
         assert verify_separability(out, p4, h.orbit_structure)
-        x3 = running_gens()[2]
-        assert [r.cell for r in records if r.original == x3] == [(2, 3)]
+        assert cells[running_gens()[2]] == (2, 3)
 
     def test_prefix_fixing_element_passes_unsifted(self):
-        cells, out = self.stage_two_records()
+        cells, out = self.stage_two_cells()
         x4 = running_gens()[3]
         assert x4 not in cells
         assert out[3] == x4
 
 
+class TestStepAlignment:
+    # position m of a step's output is element m's siftee, or element m
+    # itself when it fixes orbits 1..i; the cells merged into {i+1} are those
+    # of the originals whose siftees move orbit i+1
+
+    @staticmethod
+    def assert_aligned_walk(h):
+        structure = h.orbit_structure
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
+        merges = 0
+        for i in range(1, structure.k):
+            out, nxt = ddpd_step(h, i, elements, p)
+            assert len(out) == len(elements)
+            marked = set()
+            for x, siftee in zip(elements, out):
+                j = smallest_orbit(x, structure)
+                if j > i:
+                    assert siftee is x
+                elif siftee.moves_any(structure.orbit(i + 1)):
+                    marked.update(p.cell_of(j))
+            assert set(next(c for c in nxt.cells if i + 1 in c)) == marked | {i + 1}
+            merges += bool(marked)
+            elements, p = out, nxt
+        return merges
+
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
+    def test_alignment_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
+        base_group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+        rng = random.Random(seed)
+        for big in (255, 256, 257):
+            h = relabeled(base_group, big, rng)
+            # the same group from generators that act on several factors at once
+            gens = nielsen_mix([tab(g) for g in h.generators], rng, 2 * len(h.generators))
+            mixed = GroupHandle.from_generators([Permutation(g) for g in gens], big)
+            assert self.assert_aligned_walk(h) > 0
+            assert self.assert_aligned_walk(mixed) > 0
+
+
 class TestFirstMovedBasePoint:
     # the orbit of an element's first moved base point is the smallest
     # orbit in its support, for strong generators and for every siftee
-
-    @staticmethod
-    def smallest_orbit(x, structure):
-        return min((structure.orbit_of_point(p) for p in x.support()), default=None)
 
     @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
     def test_rule_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
@@ -176,20 +223,24 @@ class TestFirstMovedBasePoint:
             structure, base = h.orbit_structure, h.chain.base
             assert len(base) > structure.k  # several base points per orbit
             for x in h.chain.strong_generators:
-                assert _first_moved_orbit(x, base, structure) == self.smallest_orbit(x, structure)
+                assert _first_moved_orbit(x, base, structure) == smallest_orbit(x, structure)
             elements, p = h.chain.strong_generators, OrbitPartition([[1]])
             siftees = 0
             for i in range(1, structure.k):
-                records = []
-                elements, nxt = ddpd_step(h, i, elements, p, records_out=records)
+                out, nxt = ddpd_step(h, i, elements, p)
                 prefix_base = base[:pointwise_stabilizer_level(h, i) - 1]
-                for rec in records:
-                    j = self.smallest_orbit(rec.siftee, structure)
-                    assert _first_moved_orbit(rec.siftee, base, structure) == j
-                    assert _first_moved_orbit(rec.siftee, prefix_base, structure) == j <= i
-                    assert rec.cell == p.cell_of(j)
-                siftees += len(records)
-                p = nxt
+                for x, siftee in zip(elements, out):
+                    j = smallest_orbit(x, structure)
+                    if j > i:
+                        # fixes the prefix's base points, so it is not sifted
+                        assert _first_moved_orbit(x, prefix_base, structure) is None
+                        continue
+                    assert _first_moved_orbit(x, prefix_base, structure) == j
+                    assert smallest_orbit(siftee, structure) == j
+                    assert _first_moved_orbit(siftee, base, structure) == j
+                    assert _first_moved_orbit(siftee, prefix_base, structure) == j
+                    siftees += 1
+                elements, p = out, nxt
             assert siftees > 0
 
 
@@ -203,14 +254,15 @@ class TestDdpdStep:
     def test_stage_two_matches_walkthrough(self):
         h = GroupHandle.from_generators(running_gens(), 12)
         x2, p = ddpd_step(h, 1, h.chain.strong_generators, OrbitPartition([[1]]))
-        records = []
-        x3, p3 = ddpd_step(h, 2, x2, p, records_out=records)
+        x3, p3 = ddpd_step(h, 2, x2, p)
         assert p3 == OrbitPartition([[1], [2, 3]])
         assert verify_separability(x3, p3, h.orbit_structure)
         expected_x3 = {parse_cycles(s, 12) for s in
                        ["(1,2,3)", "(4,5,6)", "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]}
         assert set(x3) == expected_x3
-        moved = {str(r.original): r.next_orbit_moved for r in records}
+        structure = h.orbit_structure
+        moved = {str(x): siftee.moves_any(structure.orbit(3)) for x, siftee in zip(x2, x3)
+                 if smallest_orbit(x, structure) <= 2}
         assert moved["(5,6)(8,9)(11,12)"] is True
 
     def test_stage_three_merges_last_orbit(self):
@@ -391,7 +443,7 @@ class TestFactorsFromTheChain:
                   else seeded_handle(*instance))
         step = decompose_module.ddpd_step
 
-        def never_merging_step(handle, i, elements, partition, records_out=None):
+        def never_merging_step(handle, i, elements, partition):
             next_elements, _ = step(handle, i, elements, partition)
             return next_elements, OrbitPartition(list(partition.cells) + [[i + 1]])
 
@@ -407,7 +459,7 @@ class TestFactorsFromTheChain:
         last = handle.orbit_structure.k - 1
         step = decompose_module.ddpd_step
 
-        def dropping_step(handle, i, elements, partition, records_out=None):
+        def dropping_step(handle, i, elements, partition):
             next_elements, next_partition = step(handle, i, elements, partition)
             if i == last:
                 next_elements = next_elements[:-1]
@@ -443,7 +495,7 @@ class TestFactorsFromTheChain:
         step = decompose_module.ddpd_step
         finest = decompose_handle(handle).partition
 
-        def smuggling_step(handle, i, elements, partition, records_out=None):
+        def smuggling_step(handle, i, elements, partition):
             next_elements, next_partition = step(handle, i, elements, partition)
             if i == last:
                 by_cell = {}

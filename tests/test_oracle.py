@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,8 @@ from permdecomp import (
     symmetric,
     verify_decomposition,
 )
+from permdecomp.groups import by_name
+
 from oracles import nielsen_mix, tab
 
 
@@ -194,6 +197,21 @@ class TestMakeSubdirect:
             [parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)], 4)
         with pytest.raises(ValueError):
             make_subdirect(intrans, 2, random.Random(0))
+
+    @pytest.mark.parametrize("inner", ["C3", "S3"])
+    def test_copies_above_the_orbit_cap_fail_fast(self, inner):
+        # acceptance runs the exponential oracle, which did not return
+        # within 100 s on these instances
+        start = time.perf_counter()
+        with pytest.raises(OrbitCapExceeded, match=r"s=42 .* cap 12: .*brute-force oracle"):
+            random_ddp_group(RandomInstanceSpec(by_name(inner), 2, 42, seed=5))
+        assert time.perf_counter() - start < 1.0
+
+    def test_copies_at_the_orbit_cap_still_build(self):
+        H, expected = random_ddp_group(RandomInstanceSpec(alternating(4), 1, 12, seed=5))
+        assert H.orbit_structure.k == 12
+        assert expected == OrbitPartition([list(range(1, 13))])
+        assert decompose_handle(H).partition == expected
 
     def test_pathological_combination_exhausts_budget(self):
         # A5 is simple, so subdirect products of three copies with
