@@ -182,7 +182,8 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
     structure = handle.orbit_structure
     next_orbit = structure.orbit(i + 1)
     start = pointwise_stabilizer_level(handle, i)
-    prefix_base = handle.chain.base[:start - 1]
+    chain = handle.chain
+    prefix_base = chain.base[:start - 1]
     marked: set[tuple[int, ...]] = set()
     new_elements = []
     for x in elements:
@@ -190,7 +191,7 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
         if j is None:
             new_elements.append(x)
             continue
-        siftee, _ = sift(handle.chain, x, start)
+        siftee, _ = sift(chain, x, start)
         new_elements.append(siftee)
         if siftee.moves_any(next_orbit):
             marked.add(partition.cell_of(j))

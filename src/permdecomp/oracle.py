@@ -87,15 +87,19 @@ def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
 def _node(handle: GroupHandle, moved, key: frozenset[int]):
     """The restriction of the group to the orbit subset ``key``: the input
     generators that move it, each with the orbits of ``key`` it moves, and a
-    membership test whose exact chain is built on its first call."""
+    membership test whose exact chain is built on its first call (for every
+    orbit, the handle's own chain is read then)."""
     profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
-    chain = handle.chain if len(key) == handle.orbit_structure.k else None
+    chain = None
 
     def member(x: Permutation) -> bool:
         nonlocal chain
         if chain is None:
-            gens, support = _restricted_generators(handle, key)
-            chain = build_chain(gens, handle.degree, support)
+            if len(key) == handle.orbit_structure.k:
+                chain = handle.chain
+            else:
+                gens, support = _restricted_generators(handle, key)
+                chain = build_chain(gens, handle.degree, support)
         return is_member(chain, x)
     return profile, member
 

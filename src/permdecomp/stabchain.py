@@ -427,39 +427,54 @@ def random_element(chain: StabilizerChain, rng: random.Random) -> Permutation:
 
 
 class GroupHandle:
-    """A permutation group with its orbit structure and an eagerly built
-    orbit-ordered stabilizer chain.
+    """A permutation group with its orbit structure and an orbit-ordered
+    stabilizer chain, built the first time ``chain``, ``order`` or
+    ``orbit_base_boundaries`` is read and kept from then on.
 
     ``orbit_base_boundaries[i - 1]`` is the number j_i of base points lying
     in orbits 1..i, so chain level j_i + 1 is the pointwise stabilizer of
     the orbit prefix (union of orbits 1..i).
 
     Handles are immutable after construction and safe to share across
-    threads; random sampling takes the rng explicitly so callers own any
-    synchronization.
+    threads: two threads reading a new handle's chain at once may each
+    build it, and the builds are equal.  Random sampling takes the rng
+    explicitly so callers own any synchronization.
     """
 
-    __slots__ = ("degree", "generators", "orbit_structure", "chain", "orbit_base_boundaries")
+    __slots__ = ("degree", "generators", "orbit_structure", "_built")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 orbit_structure: OrbitStructure, chain: StabilizerChain):
+                 orbit_structure: OrbitStructure):
         self.degree = degree
         self.generators = tuple(generators)
         self.orbit_structure = orbit_structure
-        self.chain = chain
-        # the base points' orbit indices never decrease on an orbit-ordered base
-        base_orbits = [orbit_structure.orbit_of_point(b) for b in chain.base]
-        self.orbit_base_boundaries = tuple(bisect_right(base_orbits, i)
-                                           for i in range(1, orbit_structure.k + 1))
+        self._built: tuple[StabilizerChain, tuple[int, ...]] | None = None
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], degree: int) -> "GroupHandle":
-        """Build a handle with an orbit-ordered base, its orbits taken by
-        smallest element."""
+        """A handle on the distinct nontrivial generators, its orbits taken
+        by smallest element; the chain waits for its first reader."""
         gens = _dedup_generators(generators)
-        structure = compute_orbits(gens, degree)
-        chain = build_chain(gens, degree, orbit_ordered_candidates(structure))
-        return cls(degree, gens, structure, chain)
+        return cls(degree, gens, compute_orbits(gens, degree))
+
+    def _chain_and_boundaries(self) -> tuple[StabilizerChain, tuple[int, ...]]:
+        built = self._built
+        if built is None:
+            structure = self.orbit_structure
+            chain = build_chain(self.generators, self.degree, orbit_ordered_candidates(structure))
+            # the base points' orbit indices never decrease on an orbit-ordered base
+            base_orbits = [structure.orbit_of_point(b) for b in chain.base]
+            built = self._built = (chain, tuple(bisect_right(base_orbits, i)
+                                                for i in range(1, structure.k + 1)))
+        return built
+
+    @property
+    def chain(self) -> StabilizerChain:
+        return self._chain_and_boundaries()[0]
+
+    @property
+    def orbit_base_boundaries(self) -> tuple[int, ...]:
+        return self._chain_and_boundaries()[1]
 
     @property
     def order(self) -> int:

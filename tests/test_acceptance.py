@@ -228,10 +228,16 @@ def test_criterion_7_scaling():
         per_seed = []
         for seed in (1, 2, 3):
             handle, expected = random_ddp_group(RandomInstanceSpec(a4, r, 4, seed))
-            start = time.perf_counter()
-            partition = brute_force_decompose(handle, cap=40)
-            per_seed.append(time.perf_counter() - start)
-            assert partition == expected
+            runs = []
+            for _ in range(3):
+                # each run reads a new handle, so each builds the group's chain
+                fresh = GroupHandle.from_generators(handle.generators, handle.degree)
+                start = time.perf_counter()
+                partition = brute_force_decompose(fresh, cap=40)
+                runs.append(time.perf_counter() - start)
+                assert partition == expected
+            # the fastest run is the one host load disturbed least
+            per_seed.append(min(runs))
         oracle_times[r] = statistics.median(per_seed)
     ratio = oracle_times[8] / oracle_times[4]
     assert ratio > 10, f"oracle ratio {ratio:.1f}"

@@ -127,7 +127,9 @@ class TestClassCounting:
                 == closure([tab(g) for g in h.generators], 12))
 
     def test_no_permutation_per_element(self, monkeypatch):
-        h = s4_pair()  # order 576
+        h = s4_pair()
+        # the chain is built on first read; build it before counting
+        assert h.order == 576
         made = []
         make = Permutation._make.__func__
         monkeypatch.setattr(Permutation, "_make",

@@ -1,9 +1,12 @@
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 import permdecomp.oracle as oracle_module
+import permdecomp.stabchain as stabchain_module
 from permdecomp import (
     ComputationTimeout,
     GroupHandle,
@@ -29,6 +32,8 @@ from permdecomp.groups import by_name
 
 from oracles import nielsen_mix, tab
 
+
+GOLDEN = Path(__file__).parent / "golden"
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -134,6 +139,22 @@ class TestBruteForce:
         # 66 pairs and the recursion nodes, most of them linked by no generator
         assert len(chains) <= 12
         assert brute_force_decompose(H, pairs_first=False) == expected
+
+    def test_plain_instance_builds_no_whole_group_chain(self, monkeypatch):
+        # each generator acts inside one factor, so the first bipartition
+        # that cuts between factors splits without a sift
+        H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 4, 3, seed=1))
+        covered = []
+        for module in (oracle_module, stabchain_module):
+            build = module.build_chain
+
+            def recording(gens, degree, candidates=None, build=build):
+                covered.append(len(candidates))
+                return build(gens, degree, candidates)
+
+            monkeypatch.setattr(module, "build_chain", recording)
+        assert brute_force_decompose(H, pairs_first=True) == expected
+        assert covered and max(covered) < H.degree
 
     def test_mixed_generators(self):
         # Nielsen moves make most generators act on several factors, so most
@@ -247,6 +268,17 @@ class TestRandomDdpGroup:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             RandomInstanceSpec(cyclic(3), 0, 2, seed=1)
+
+    @pytest.mark.parametrize("name", ["random_ddp_A4_r2_s3", "random_ddp_D8_r17_s4"])
+    def test_golden_instances(self, name):
+        # every random draw of the generator, pinned by its output
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        spec = RandomInstanceSpec(by_name(golden["inner"]), golden["r"], golden["s"],
+                                  golden["seed"])
+        H, expected = random_ddp_group(spec)
+        assert H.degree == golden["degree"]
+        assert [str(g) for g in H.generators] == golden["generators"]
+        assert [list(cell) for cell in expected.cells] == golden["cells"]
 
 
 class TestEquivalence:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import permdecomp.stabchain as stabchain_module
 from permdecomp import (
     GroupHandle,
     Permutation,
@@ -339,3 +340,44 @@ class TestOrbitOrderedCandidates:
     def test_concatenation(self):
         s = compute_orbits(running_gens(), 12)
         assert orbit_ordered_candidates(s) == list(range(1, 13))
+
+
+def _count_builds(monkeypatch) -> list:
+    # GroupHandle reads build_chain from its module at build time
+    calls = []
+    build = stabchain_module.build_chain
+
+    def counting(gens, degree, candidates=None):
+        calls.append(candidates)
+        return build(gens, degree, candidates)
+
+    monkeypatch.setattr(stabchain_module, "build_chain", counting)
+    return calls
+
+
+class TestLazyChain:
+    def test_built_once_on_first_read(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        handle = running_handle()
+        assert calls == []
+        assert handle.orbit_base_boundaries == (1, 3, 4, 4)
+        assert len(calls) == 1
+        assert handle.order == 54 and handle.chain is handle.chain
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, r, s", [("D8", 3, 2), ("A4", 2, 3)])
+    def test_equals_an_orbit_ordered_build(self, name, r, s):
+        handle, _ = random_ddp_group(RandomInstanceSpec(by_name(name), r, s, seed=2))
+        chain = handle.chain
+        fresh = build_chain(handle.generators, handle.degree,
+                            orbit_ordered_candidates(handle.orbit_structure))
+        assert chain.base == fresh.base and chain.order == fresh.order
+        assert chain.strong_generators == fresh.strong_generators
+        assert [level.coset_reps for level in chain.levels] == \
+            [level.coset_reps for level in fresh.levels]
+
+    def test_random_ddp_group_leaves_the_chain_unbuilt(self, monkeypatch):
+        handle, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), 4, 3, seed=1))
+        calls = _count_builds(monkeypatch)
+        handle.chain
+        assert calls == [orbit_ordered_candidates(handle.orbit_structure)]
