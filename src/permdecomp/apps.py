@@ -66,27 +66,27 @@ def _commutator(a: Permutation, b: Permutation) -> Permutation:
 
 def derived_subgroup(handle: GroupHandle, deadline: float | None = None) -> GroupHandle:
     """The derived subgroup, as the normal closure of the commutators of
-    all generator pairs.
+    all generator pairs ([b,a] is [a,b]^-1, so one per pair).
 
-    Deterministic closure: conjugate the current generators by the group's
-    generators and add every non-member, rebuilding the chain until stable.
-    Terminates because the subgroup order strictly increases.
+    Deterministic closure: conjugate the generators added last round by the
+    group's generators and add every non-member, rebuilding the chain until
+    stable.  Older generators were tested against a subgroup of the current
+    one.  Terminates because the subgroup order strictly increases.
     """
     gens: list[Permutation] = []
     seen: set[Permutation] = set()
     for a, b in combinations(handle.generators, 2):
-        for c in (_commutator(a, b), _commutator(b, a)):
-            if not c.is_identity() and c not in seen:
-                seen.add(c)
-                gens.append(c)
-    if not gens:
-        return GroupHandle.from_generators([], handle.degree)
+        c = _commutator(a, b)
+        if not c.is_identity() and c not in seen:
+            seen.add(c)
+            gens.append(c)
     derived = GroupHandle.from_generators(gens, handle.degree)
+    added = gens
     while True:
         if deadline is not None and time.monotonic() > deadline:
             raise ComputationTimeout("derived subgroup computation timed out")
         new = []
-        for d in gens:
+        for d in added:
             for g in handle.generators:
                 c = d.conjugate(g)
                 if c not in seen and not is_member(derived.chain, c):
@@ -95,6 +95,7 @@ def derived_subgroup(handle: GroupHandle, deadline: float | None = None) -> Grou
         if not new:
             return derived
         gens.extend(new)
+        added = new
         derived = GroupHandle.from_generators(gens, handle.degree)
 
 

@@ -21,7 +21,6 @@ from .apps import run_benchmark
 from .decompose import InvariantViolation, decompose_handle, decomposition_result
 from .groupfile import (
     GroupFileError,
-    check_document,
     decomposition_document,
     document_supports,
     dump_document,
@@ -38,7 +37,6 @@ from .oracle import (
     RetryBudgetExhausted,
     brute_force_decompose,
     random_ddp_group,
-    verify_decomposition,
 )
 from .perm import CycleFormatError
 from .stabchain import GroupHandle
@@ -82,12 +80,7 @@ def _inner_group(name_or_path: str) -> GroupHandle:
 def cmd_decompose(args) -> int:
     handle = _load_handle(args.input)
     result = decompose_handle(handle, verify=args.check)
-    doc = decomposition_document(result, method="fast")
-    if args.check:
-        check_document(doc, handle.order, handle.orbit_structure.support())
-        if not verify_decomposition(handle, result.partition):
-            raise InvariantViolation("decomposition rejected by the order-product check")
-    sys.stdout.write(dump_document(doc))
+    sys.stdout.write(dump_document(decomposition_document(result, method="fast")))
     return EXIT_OK
 
 
@@ -205,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a group file (fast algorithm)")
     p.add_argument("input", help="group file")
     p.add_argument("--check", action="store_true",
-                   help="also rebuild each factor's chain and recheck orders and laws")
+                   help="also check each walk state for separability and each "
+                        "factor's order against two fresh chains")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("oracle", help="decompose by brute force (baseline)")

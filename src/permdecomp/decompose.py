@@ -34,7 +34,10 @@ the input generators, never the walk's strong generating set.  Factor orders
 are read off the chain: a level stabilizer of A x B splits, so the base
 points in a cell form a base of that factor.  :attr:`Factor.handle` is built
 only on demand.  ``verify=True`` checks each state of the walk once for
-separability, then builds every factor handle and compares the orders.
+separability, then compares every factor's order with two fresh chains, its
+handle's and :func:`restriction_order`'s: each has caught a faulty builder
+the other missed, and as the factor orders multiply to |H|, this covers the
+order-product law.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .stabchain import (
     OrbitStructure,
     is_member,
     pointwise_stabilizer_level,
+    restriction_order,
     sift,
 )
 
@@ -255,7 +259,8 @@ def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> Deco
 
 def decompose_handle(handle: GroupHandle, verify: bool = False) -> DecompositionResult:
     """Finest disjoint direct product decomposition of an orbit-ordered
-    group handle.  ``verify`` checks walk states 2..k for separability, once each."""
+    group handle.  ``verify`` checks walk states 2..k for separability, once
+    each, and every factor's order against two fresh chains."""
     structure = handle.orbit_structure
     elements = handle.chain.strong_generators
     partition = OrbitPartition([[1]] if structure.k else [])
@@ -267,9 +272,11 @@ def decompose_handle(handle: GroupHandle, verify: bool = False) -> Decomposition
     result = decomposition_result(handle, partition)
     if verify:
         for factor in result.factors:
-            if factor.handle.order != factor.order:
-                raise InvariantViolation(f"factor {factor.orbit_indices}: rebuilt order "
-                                         f"{factor.handle.order} != chain order {factor.order}")
+            for source, order in (("rebuilt", factor.handle.order),
+                                  ("restriction", restriction_order(handle, factor.orbit_indices))):
+                if order != factor.order:
+                    raise InvariantViolation(f"factor {factor.orbit_indices}: {source} order "
+                                             f"{order} != chain order {factor.order}")
     return result
 
 

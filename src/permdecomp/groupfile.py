@@ -19,7 +19,7 @@ import json
 from typing import Sequence
 
 from . import __version__
-from .decompose import DecompositionResult, InvariantViolation, OrbitPartition
+from .decompose import DecompositionResult, OrbitPartition
 from .perm import CycleFormatError, Permutation, format_cycles, parse_cycles
 from .stabchain import GroupHandle
 
@@ -141,43 +141,22 @@ def load_document(path: str) -> dict:
 
 
 def document_supports(doc: dict) -> frozenset[frozenset[int]]:
-    """The document's factor supports.  Each must be a list of points of
-    1..degree; a bool is not a point, although ``True == 1``.  No point may
-    appear twice, in one support or in two: supports are compared as sets."""
+    """The document's factor supports.  Each must be a nonempty list of
+    points of 1..degree (a bool is not a point, although ``True == 1``), and
+    no point may appear twice, in one support or in two: they become sets."""
     try:
         supports = [f["support"] for f in doc["factors"]]
     except (KeyError, TypeError) as exc:
         raise GroupFileError(f"document missing factor supports: {exc}") from None
     degree = doc["degree"]
     for sup in supports:
-        if type(sup) is not list or not all(type(p) is int and 1 <= p <= degree for p in sup):
+        if type(sup) is not list or not sup or not all(type(p) is int and 1 <= p <= degree
+                                                        for p in sup):
             raise GroupFileError(f"factor support {sup!r} is not a list of points in 1..{degree}")
     points = [p for sup in supports for p in sup]
     if len(set(points)) < len(points):
         raise GroupFileError("a point appears twice in the factor supports")
     return frozenset(map(frozenset, supports))
-
-
-def check_document(doc: dict, whole_order: int, group_support: frozenset[int]) -> None:
-    """Validate the structural laws of a decomposition document: the factor
-    order product equals the whole order and the factor supports partition
-    the group support.  Raises InvariantViolation naming the violated law."""
-    product = 1
-    for f in doc["factors"]:
-        product *= int(f["order"])
-    if product != whole_order:
-        raise InvariantViolation(
-            f"product law violated: factor orders multiply to {product}, "
-            f"group order is {whole_order}")
-    seen: set[int] = set()
-    for f in doc["factors"]:
-        sup = set(f["support"])
-        if seen & sup:
-            raise InvariantViolation("disjoint-support law violated: overlapping factor supports")
-        seen |= sup
-    if seen != set(group_support):
-        raise InvariantViolation(
-            "disjoint-support law violated: supports do not cover the group support")
 
 
 def write_expected_sidecar(group_path: str, handle: GroupHandle, partition: OrbitPartition,

@@ -32,7 +32,14 @@ from typing import Sequence
 
 from .decompose import OrbitPartition
 from .perm import Permutation
-from .stabchain import GroupHandle, build_chain, is_member, random_element
+from .stabchain import (
+    GroupHandle,
+    _restricted_generators,
+    build_chain,
+    is_member,
+    random_element,
+    restriction_order,
+)
 
 DEFAULT_ORBIT_CAP = 12
 DEFAULT_RETRY_BUDGET = 1000
@@ -70,20 +77,6 @@ class RandomInstanceSpec:
             raise ValueError("inner group must be transitive on its full point set")
 
 
-def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[list[Permutation], list[int]]:
-    support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
-    gens = [g.restrict(support) for g in handle.generators
-            if any(g._img[p - 1] != p - 1 for p in support)]
-    return gens, support
-
-
-def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
-    """Order of the restriction of the group to the union of the given
-    orbits, computed by a fresh chain on the restricted generators."""
-    gens, support = _restricted_generators(handle, frozenset(orbit_indices))
-    return build_chain(gens, handle.degree, support).order
-
-
 def _node(handle: GroupHandle, moved, key: frozenset[int]):
     """The restriction of the group to the orbit subset ``key``: the input
     generators that move it, each with the orbits of ``key`` it moves, and a
@@ -117,8 +110,7 @@ def verify_decomposition(handle: GroupHandle, partition: OrbitPartition) -> bool
     """True iff the partition's cells give a direct product decomposition:
     the per-cell restriction orders multiply to the group order."""
     k = handle.orbit_structure.k
-    covered = [x for cell in partition.cells for x in cell]
-    if sorted(covered) != list(range(1, k + 1)):
+    if partition.max_index != k:
         raise ValueError(f"partition does not cover orbit indices 1..{k}")
     product = 1
     for cell in partition.cells:

@@ -494,3 +494,17 @@ def pointwise_stabilizer_level(handle: GroupHandle, i: int) -> int:
     if i == 0:
         return 1
     return handle.orbit_base_boundaries[i - 1] + 1
+
+
+def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[list[Permutation], list[int]]:
+    support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
+    gens = [g.restrict(support) for g in handle.generators
+            if any(g._img[p - 1] != p - 1 for p in support)]
+    return gens, support
+
+
+def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
+    """Order of the restriction of the group to the union of the given
+    orbits, computed by a fresh chain on the restricted generators."""
+    gens, support = _restricted_generators(handle, frozenset(orbit_indices))
+    return build_chain(gens, handle.degree, support).order

@@ -1,5 +1,5 @@
-"""Chains and class counts checked against sympy's independent
-implementations.
+"""Chains, class counts and derived subgroups checked against sympy's
+independent implementations.
 
 sympy is a test-only dependency: without it this module is skipped.
 """
@@ -7,7 +7,14 @@ sympy is a test-only dependency: without it this module is skipped.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from permdecomp import GroupHandle, Permutation, build_chain, count_conjugacy_classes, is_member
+from permdecomp import (
+    GroupHandle,
+    Permutation,
+    build_chain,
+    count_conjugacy_classes,
+    derived_subgroup,
+    is_member,
+)
 
 from oracles import on_points
 
@@ -79,3 +86,14 @@ def test_class_count_agrees_with_sympy(case):
     assume(1 < handle.order <= 720)  # sympy lists every element of every class
     group = combinatorics.PermutationGroup([to_sympy(g) for g in gens])
     assert count_conjugacy_classes(handle).count == len(group.conjugacy_classes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups())
+def test_derived_subgroup_agrees_with_sympy(case):
+    # the same order, and every generator inside sympy's derived subgroup
+    degree, gens, *_ = case
+    derived = derived_subgroup(GroupHandle.from_generators(gens, degree))
+    expected = combinatorics.PermutationGroup([to_sympy(g) for g in gens]).derived_subgroup()
+    assert derived.order == expected.order()
+    assert all(expected.contains(to_sympy(g)) for g in derived.generators)

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,9 @@ from permdecomp import (
     restriction_order,
     verify_separability,
 )
+from permdecomp.cli import main
 from permdecomp.decompose import _first_moved_orbit, decomposition_result
+from permdecomp.groupfile import write_group_file
 from permdecomp.groups import by_name
 
 from oracles import brute_finest_partition, closure, nielsen_mix, orbit_order_relabelling, tab
@@ -545,8 +548,30 @@ class TestFactorsFromTheChain:
         decompose(handle.generators, handle.degree)
         assert len(calls) == 1
         calls.clear()
+        # verify=True builds two fresh chains per factor: its handle's and
+        # the restriction chain behind restriction_order
         result = decompose(handle.generators, handle.degree, verify=True)
-        assert len(calls) == 1 + len(result.factors)
+        assert len(calls) == 1 + 2 * len(result.factors)
+
+    @pytest.mark.parametrize("instance", ["running", SEEDED[0]], ids=instance_id)
+    def test_restriction_order_mismatch_is_caught(self, monkeypatch, tmp_path, capsys,
+                                                  instance):
+        # the restriction chain alone has caught a faulty builder that the
+        # factor handle's rebuild passed; the default path never builds it
+        handle = instance_handle(instance)
+        expected = decompose_handle(handle)
+        order = decompose_module.restriction_order
+        monkeypatch.setattr(decompose_module, "restriction_order",
+                            lambda handle, cell: order(handle, cell) + 1)
+        assert decompose_handle(handle) == expected
+        first = expected.factors[0].orbit_indices
+        with pytest.raises(InvariantViolation, match=re.escape(f"factor {first}: restriction")):
+            decompose_handle(handle, verify=True)
+        path = tmp_path / "group.grp"
+        write_group_file(str(path), handle.degree, handle.generators)
+        assert main(["decompose", str(path)]) == 0
+        assert main(["decompose", "--check", str(path)]) == 2
+        assert "restriction order" in capsys.readouterr().err
 
     def test_factor_built_without_a_chain(self):
         handle = GroupHandle.from_generators(running_gens(), 12)
