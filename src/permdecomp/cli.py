@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a group file (fast algorithm)")
     p.add_argument("input", help="group file")
     p.add_argument("--check", action="store_true",
-                   help="also check each walk state for separability and each "
-                        "factor's order against two fresh chains")
+                   help="also audit the stabilizer chain by Schreier's lemma and "
+                        "check each walk state for separability")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("oracle", help="decompose by brute force (baseline)")

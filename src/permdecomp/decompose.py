@@ -33,11 +33,14 @@ lies in H, so each is sifted through H's chain on every call; the check reads
 the input generators, never the walk's strong generating set.  Factor orders
 are read off the chain: a level stabilizer of A x B splits, so the base
 points in a cell form a base of that factor.  :attr:`Factor.handle` is built
-only on demand.  ``verify=True`` checks each state of the walk once for
-separability, then compares every factor's order with two fresh chains, its
-handle's and :func:`restriction_order`'s: each has caught a faulty builder
-the other missed, and as the factor orders multiply to |H|, this covers the
-order-product law.
+only on demand.
+
+Everything above reads the one chain, so ``verify=True`` checks that chain:
+:func:`~permdecomp.stabchain.audit_chain` proves it complete by Schreier's
+lemma, without the builder's sweep, before the walk runs, and each state of
+the walk is then checked once for separability.  Once the chain is audited
+and the certificate passes, the factor orders read off its levels are the
+orders of the factors, and they multiply to |H|, the chain's order.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ from .perm import Permutation, format_cycles
 from .stabchain import (
     GroupHandle,
     OrbitStructure,
+    audit_chain,
     is_member,
     pointwise_stabilizer_level,
-    restriction_order,
     sift,
 )
 
@@ -259,9 +262,13 @@ def decomposition_result(handle: GroupHandle, partition: OrbitPartition) -> Deco
 
 def decompose_handle(handle: GroupHandle, verify: bool = False) -> DecompositionResult:
     """Finest disjoint direct product decomposition of an orbit-ordered
-    group handle.  ``verify`` checks walk states 2..k for separability, once
-    each, and every factor's order against two fresh chains."""
+    group handle.  ``verify`` audits the chain (:func:`audit_chain`), then
+    checks walk states 2..k for separability, once each."""
     structure = handle.orbit_structure
+    if verify:
+        failure = audit_chain(handle.chain, handle.generators)
+        if failure is not None:
+            raise InvariantViolation(f"chain audit: {failure}")
     elements = handle.chain.strong_generators
     partition = OrbitPartition([[1]] if structure.k else [])
     for i in range(1, structure.k):
@@ -269,15 +276,7 @@ def decompose_handle(handle: GroupHandle, verify: bool = False) -> Decomposition
         if verify and not verify_separability(elements, partition, structure):
             raise InvariantViolation(f"strong generating set not {i + 1}-separable "
                                      f"after step {i}")
-    result = decomposition_result(handle, partition)
-    if verify:
-        for factor in result.factors:
-            for source, order in (("rebuilt", factor.handle.order),
-                                  ("restriction", restriction_order(handle, factor.orbit_indices))):
-                if order != factor.order:
-                    raise InvariantViolation(f"factor {factor.orbit_indices}: {source} order "
-                                             f"{order} != chain order {factor.order}")
-    return result
+    return decomposition_result(handle, partition)
 
 
 def decompose(generators: Sequence[Permutation], degree: int,

@@ -416,6 +416,90 @@ def is_member(chain: StabilizerChain, g: Permutation) -> bool:
     return stop == len(chain.levels) + 1 and siftee.is_identity()
 
 
+def _sift_failure(chain: StabilizerChain, x: Permutation, start_level: int = 1) -> str | None:
+    # None when x sifts to the identity from start_level, else where it stops
+    siftee, stop = sift(chain, x, start_level)
+    if stop <= len(chain.levels):
+        return f"leaves the basic orbit of level {stop}"
+    if not siftee.is_identity():
+        return f"sifts to a non-identity element after level {stop - 1}"
+    return None
+
+
+def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> str | None:
+    """Check that ``chain`` is a complete stabilizer chain of the group
+    generated by ``generators``.  Returns None when every law holds, else a
+    one-line description of the first law that fails, naming the level:
+
+    1. each generator sifts to the identity;
+    2. each level's generators are strong generators and fix the base
+       points of the earlier levels;
+    3. each level's basic orbit (the keys of ``coset_reps``) is exactly the
+       orbit of its base point under the level's generators, and the
+       inverse tables that :func:`sift` reads are those of the
+       representatives;
+    4. each Schreier generator u_q * s * u_{q^s}^-1 of a level sifts to the
+       identity through the levels below.
+
+    By Schreier's lemma (Seress 2003, ch. 4), laws 3 and 4 make each level's
+    group the product of the next level's group and the level's transversal,
+    from the last level up, and law 1 puts the group inside the first
+    level's.  This presumes what :func:`build_chain` gives by construction
+    and no law can test: each representative is a product of its level's
+    generators, each level's generators lie in the group of the level above,
+    and the first level's lie in the group.  Then the chain's order is the
+    group's order and :func:`sift` decides membership.  The audit reads only
+    ``Permutation`` and :func:`sift`, never the builder's sweep.
+    """
+    for i, g in enumerate(generators, start=1):
+        failure = _sift_failure(chain, g)
+        if failure is not None:
+            return f"input generator {i} {failure}"
+    base = chain.base
+    # each strong generator -> the first level whose base point it moves
+    first_moved = {x: next((j for j, p in enumerate(base, start=1) if x.image(p) != p), None)
+                   for x in chain.strong_generators}
+    for t, level in enumerate(chain.levels, start=1):
+        b = level.base_point
+        gens = level.level_generators
+        for i, s in enumerate(gens, start=1):
+            if s not in first_moved:
+                return f"level {t}: generator {i} is not a strong generator"
+            j = first_moved[s]
+            if j is not None and j < t:
+                return f"level {t}: generator {i} moves base point {base[j - 1]} of level {j}"
+        orbit = {b}
+        frontier = [b]
+        while frontier:
+            p = frontier.pop()
+            for s in gens:
+                q = s.image(p)
+                if q not in orbit:
+                    orbit.add(q)
+                    frontier.append(q)
+        reps = level.coset_reps
+        if orbit != reps.keys():
+            missing = sorted(orbit - reps.keys())
+            if missing:
+                return f"level {t}: transversal misses point {missing[0]} of the orbit of {b}"
+            extra = min(reps.keys() - orbit)
+            return f"level {t}: transversal point {extra} is not in the orbit of {b}"
+        inverses = {q: u.inverse() for q, u in reps.items()}
+        if level._inv0 != {q - 1: v._table() for q, v in inverses.items()}:
+            return f"level {t}: the inverse tables are not those of the representatives"
+        for q, u in reps.items():
+            for i, s in enumerate(gens, start=1):
+                us = u * s
+                target = us.image(b)
+                if us == reps[target]:
+                    continue
+                failure = _sift_failure(chain, us * inverses[target], t + 1)
+                if failure is not None:
+                    return (f"level {t}: the Schreier generator of point {q} and "
+                            f"generator {i} {failure}")
+    return None
+
+
 def random_element(chain: StabilizerChain, rng: random.Random) -> Permutation:
     """A uniformly distributed element: the product of one uniformly chosen
     coset representative per level."""
@@ -481,8 +565,9 @@ class GroupHandle:
         return self.chain.order
 
     def __repr__(self) -> str:
-        return (f"GroupHandle(degree={self.degree}, orbits={self.orbit_structure.k}, "
-                f"order={self.order})")
+        # the order only once the chain is built: repr must not run Schreier-Sims
+        order = "" if self._built is None else f", order={self._built[0].order}"
+        return f"GroupHandle(degree={self.degree}, orbits={self.orbit_structure.k}{order})"
 
 
 def pointwise_stabilizer_level(handle: GroupHandle, i: int) -> int:

@@ -1,7 +1,10 @@
 import importlib
+import inspect
 import itertools
+import json
 import random
 import re
+import textwrap
 
 import pytest
 
@@ -12,6 +15,8 @@ from permdecomp import (
     OrbitPartition,
     Permutation,
     RandomInstanceSpec,
+    StabilizerChain,
+    TransversalLevel,
     build_chain,
     compute_N_generators,
     compute_orbits,
@@ -333,6 +338,19 @@ def instance_handle(instance):
             else seeded_handle(*instance))
 
 
+def residue_dropping_build_chain():
+    """``build_chain`` with one fault: once it holds more than 3·|gens|/2 + 2
+    strong generators it drops each further residue, so the Schreier pair
+    that produced it counts as checked and the chain can come out short."""
+    source = textwrap.dedent(inspect.getsource(build_chain))
+    sound = "if j == nnodes:"
+    assert source.count(sound) == 1
+    namespace = dict(vars(stabchain_module))
+    exec(source.replace(sound, "if j == nnodes or len(strong) > 3 * len(gens) / 2 + 2:"),
+         namespace)
+    return namespace["build_chain"]
+
+
 class TestDecompose:
     def test_running_example(self):
         res = decompose(running_gens(), 12, verify=True)
@@ -548,30 +566,63 @@ class TestFactorsFromTheChain:
         decompose(handle.generators, handle.degree)
         assert len(calls) == 1
         calls.clear()
-        # verify=True builds two fresh chains per factor: its handle's and
-        # the restriction chain behind restriction_order
-        result = decompose(handle.generators, handle.degree, verify=True)
-        assert len(calls) == 1 + 2 * len(result.factors)
+        # verify=True audits the one chain and builds no other
+        decompose(handle.generators, handle.degree, verify=True)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("instance", ["running", SEEDED[0]], ids=instance_id)
     def test_restriction_order_mismatch_is_caught(self, monkeypatch, tmp_path, capsys,
                                                   instance):
-        # the restriction chain alone has caught a faulty builder that the
-        # factor handle's rebuild passed; the default path never builds it
+        # a chain whose last level lists a generator that moves the first
+        # base point breaks the audit's second law; the walk, the factor
+        # orders and the certificate read no level generator, so the default
+        # path answers as before and only --check fails
         handle = instance_handle(instance)
         expected = decompose_handle(handle)
-        order = decompose_module.restriction_order
-        monkeypatch.setattr(decompose_module, "restriction_order",
-                            lambda handle, cell: order(handle, cell) + 1)
-        assert decompose_handle(handle) == expected
-        first = expected.factors[0].orbit_indices
-        with pytest.raises(InvariantViolation, match=re.escape(f"factor {first}: restriction")):
-            decompose_handle(handle, verify=True)
         path = tmp_path / "group.grp"
         write_group_file(str(path), handle.degree, handle.generators)
         assert main(["decompose", str(path)]) == 0
+        document = capsys.readouterr().out
+        build = stabchain_module.build_chain
+
+        def rogue_build(gens, degree, candidates=None):
+            chain = build(gens, degree, candidates)
+            *levels, last = chain.levels
+            first = chain.base[0]
+            rogue = next(x for x in chain.strong_generators if x.image(first) != first)
+            levels.append(TransversalLevel(last.base_point, last.coset_reps,
+                                           last.level_generators + (rogue,)))
+            return StabilizerChain(degree, levels, chain.strong_generators)
+
+        monkeypatch.setattr(stabchain_module, "build_chain", rogue_build)
+        assert decompose_handle(instance_handle(instance)) == expected
+        m = len(handle.chain.levels)
+        n = len(handle.chain.levels[-1].level_generators) + 1
+        law = f"chain audit: level {m}: generator {n} moves base point {handle.chain.base[0]}"
+        with pytest.raises(InvariantViolation, match=re.escape(law)):
+            decompose_handle(instance_handle(instance), verify=True)
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == document
         assert main(["decompose", "--check", str(path)]) == 2
-        assert "restriction order" in capsys.readouterr().err
+        assert law in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 4, 4, 2004_11626),
+                                                   ("D8", 8, 4, 2004_11627)])
+    def test_residue_dropping_builder_fails_the_check(self, monkeypatch, tmp_path, capsys,
+                                                      inner, r, s, seed):
+        # with mixed generators the broken chain gives a wrong partition that
+        # passes the certificate and the separability scans; a rebuild by the
+        # same builder agrees with it, and only the audit of the chain fails
+        handle, expected = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+        gens = nielsen_mix([tab(g) for g in handle.generators], random.Random(seed),
+                           3 * len(handle.generators))
+        path = tmp_path / "mixed.grp"
+        write_group_file(str(path), handle.degree, [Permutation(g) for g in gens])
+        monkeypatch.setattr(stabchain_module, "build_chain", residue_dropping_build_chain())
+        assert main(["decompose", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] != [list(c) for c in expected.cells]
+        assert main(["decompose", "--check", str(path)]) == 2
+        assert "invariant violated: chain audit: " in capsys.readouterr().err
 
     def test_factor_built_without_a_chain(self):
         handle = GroupHandle.from_generators(running_gens(), 12)

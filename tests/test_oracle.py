@@ -29,6 +29,7 @@ from permdecomp import (
     verify_decomposition,
 )
 from permdecomp.groups import by_name
+from permdecomp.stabchain import audit_chain
 
 from oracles import nielsen_mix, tab
 
@@ -62,6 +63,26 @@ class TestVerifyDecomposition:
             verify_decomposition(running_handle(), OrbitPartition([[1], [2, 3]]))
 
 
+@pytest.fixture
+def audited_chains(monkeypatch):
+    """Every chain built through the oracle's or the stabchain module's
+    ``build_chain`` (node chains, the whole group's chain, restriction
+    chains) must pass the audit, so the oracle's answers rest on checked
+    chains.  Returns the list of audited chains."""
+    audited = []
+    for module in (oracle_module, stabchain_module):
+        build = module.build_chain
+
+        def auditing(gens, degree, candidates=None, build=build):
+            chain = build(gens, degree, candidates)
+            assert audit_chain(chain, gens) is None
+            audited.append(chain)
+            return chain
+
+        monkeypatch.setattr(module, "build_chain", auditing)
+    return audited
+
+
 PAIRS_FIRST_INSTANCES = [(dihedral(8), 2, 2, 1), (dihedral(8), 2, 2, 2), (dihedral(8), 2, 2, 3),
                          (cyclic(2), 2, 4, 2), (alternating(4), 2, 3, 1), (symmetric(4), 2, 3, 2),
                          (dihedral(8), 1, 4, 1)]
@@ -87,7 +108,7 @@ class TestBruteForce:
             brute_force_decompose(h)
         assert len(brute_force_decompose(h, cap=13).cells) == 13
 
-    def test_pairs_first_agrees(self):
+    def test_pairs_first_agrees(self, audited_chains):
         for inner, r, s, seed in PAIRS_FIRST_INSTANCES:
             H, expected = random_ddp_group(RandomInstanceSpec(inner, r, s, seed))
             glued = brute_force_decompose(H, pairs_first=True)
@@ -98,6 +119,7 @@ class TestBruteForce:
         splits = {pair: restriction_order(H, pair) == restriction_order(H, pair[:1])
                   * restriction_order(H, pair[1:]) for pair in ((1, 2), (1, 3), (2, 3))}
         assert splits == {(1, 2): False, (1, 3): True, (2, 3): False}
+        assert audited_chains
 
     @pytest.mark.parametrize("pairs_first", [False, True])
     def test_pairwise_products_without_a_split(self, pairs_first):
@@ -156,7 +178,7 @@ class TestBruteForce:
         assert brute_force_decompose(H, pairs_first=True) == expected
         assert covered and max(covered) < H.degree
 
-    def test_mixed_generators(self):
+    def test_mixed_generators(self, audited_chains):
         # Nielsen moves make most generators act on several factors, so most
         # pairs and nodes need a chain; every answer must stay the truth
         rng = random.Random(2004)
@@ -174,6 +196,7 @@ class TestBruteForce:
             assert brute_force_decompose(M, pairs_first=True) == expected
             assert brute_force_decompose(M, pairs_first=False) == expected
             assert decompose(gens, H.degree).partition == expected
+        assert audited_chains
 
 
 class TestIndecomposable:
@@ -298,7 +321,7 @@ class TestEquivalence:
 
 
 class TestOracleAgreement:
-    def test_random_instances(self):
+    def test_random_instances(self, audited_chains):
         rng = random.Random(31)
         for _ in range(10):
             degree = rng.randint(6, 10)
@@ -313,3 +336,4 @@ class TestOracleAgreement:
             fast = decompose_handle(h, verify=True).partition
             assert fast == brute_force_decompose(h)
             assert verify_decomposition(h, fast)
+        assert audited_chains

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import permdecomp.stabchain as stabchain_module
 from permdecomp import (
@@ -21,8 +22,9 @@ from permdecomp import (
     random_element,
     sift,
 )
+from permdecomp.stabchain import audit_chain
 
-from oracles import closure, tab
+from oracles import closure, nielsen_mix, on_points, tab
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -308,6 +310,110 @@ class TestPointwiseStabilizerLevel:
             pointwise_stabilizer_level(running_handle(), 5)
 
 
+def _replace_level(chain, t, coset_reps=None, level_generators=None, inverse_tables=None):
+    # the chain with level t rebuilt from the given parts, the rest kept
+    level = chain.levels[t - 1]
+    levels = list(chain.levels)
+    levels[t - 1] = TransversalLevel(
+        level.base_point, level.coset_reps if coset_reps is None else coset_reps,
+        level.level_generators if level_generators is None else level_generators,
+        inverse_tables)
+    return StabilizerChain(chain.degree, levels, chain.strong_generators)
+
+
+@st.composite
+def relabelled_groups(draw):
+    """Generators of a group on at most nine points, in up to three blocks,
+    relabelled onto random points of a degree on either side of the
+    bytes/tuple boundary, as drawn and after seeded Nielsen moves."""
+    degree = draw(st.sampled_from([255, 256, 257, 300]))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    k = sum(sizes)
+    rng = draw(st.randoms(use_true_random=False))
+    local = []
+    for _ in range(draw(st.integers(1, 4))):
+        images = list(range(k))
+        rng.shuffle(images)
+        local.append(images)
+    points = draw(st.permutations(range(1, degree + 1)))[:k]
+    plain = [on_points(points, images, degree) for images in local]
+    mixed = nielsen_mix(plain, rng, draw(st.integers(1, 3)) * len(plain))
+    return degree, [Permutation(g) for g in plain], [Permutation(g) for g in mixed]
+
+
+class TestAuditChain:
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_groups())
+    def test_passes_built_chains(self, group):
+        degree, plain, mixed = group
+        for gens in (plain, mixed):
+            handle = GroupHandle.from_generators(gens, degree)
+            assert audit_chain(handle.chain, gens) is None
+            assert audit_chain(build_chain(gens, degree), gens) is None
+
+    def test_input_generator_outside_the_chain(self):
+        handle = running_handle()
+        gens = handle.generators + (parse_cycles("(1,2)", 12),)
+        assert audit_chain(handle.chain, gens) == \
+            "input generator 5 sifts to a non-identity element after level 4"
+
+    def test_dropped_level_generator(self):
+        # level 4 (base point 7) has one generator; without it the orbit of 7
+        # is {7}, so the transversal holds points no generator reaches
+        chain = _replace_level(running_handle().chain, 4, level_generators=())
+        assert audit_chain(chain, running_gens()) == \
+            "level 4: transversal point 8 is not in the orbit of 7"
+
+    def test_transversal_missing_a_point(self):
+        chain = running_handle().chain
+        reps = {q: u for q, u in chain.levels[1].coset_reps.items() if q != 6}
+        chain = _replace_level(chain, 2, coset_reps=reps)
+        assert audit_chain(chain, running_gens()) == \
+            "level 2: transversal misses point 6 of the orbit of 4"
+
+    def test_transversal_with_an_unreachable_point(self):
+        chain = running_handle().chain
+        reps = dict(chain.levels[3].coset_reps)
+        reps[10] = parse_cycles("(7,10)", 12)
+        chain = _replace_level(chain, 4, coset_reps=reps)
+        assert audit_chain(chain, running_gens()) == \
+            "level 4: transversal point 10 is not in the orbit of 7"
+
+    def test_level_generator_moving_an_earlier_base_point(self):
+        chain = running_handle().chain
+        gens = chain.levels[3].level_generators + (chain.strong_generators[0],)
+        chain = _replace_level(chain, 4, level_generators=gens)
+        assert audit_chain(chain, running_gens()) == \
+            "level 4: generator 2 moves base point 1 of level 1"
+
+    def test_level_generator_that_is_not_a_strong_generator(self):
+        chain = running_handle().chain
+        gens = chain.levels[3].level_generators + (parse_cycles("(7,8)", 12),)
+        chain = _replace_level(chain, 4, level_generators=gens)
+        assert audit_chain(chain, running_gens()) == \
+            "level 4: generator 2 is not a strong generator"
+
+    def test_inverse_tables_of_other_representatives(self):
+        chain = running_handle().chain
+        reps = chain.levels[0].coset_reps
+        swapped = {0: reps[2].inverse()._table(), 1: reps[1].inverse()._table(),
+                   2: reps[3].inverse()._table()}
+        chain = _replace_level(chain, 1, inverse_tables=swapped)
+        assert audit_chain(chain, []) == \
+            "level 1: the inverse tables are not those of the representatives"
+
+    def test_missing_stabilizer_level(self):
+        # S3 with its point stabilizer dropped: both generators are coset
+        # representatives, so they sift, but a Schreier generator does not
+        a, b = parse_cycles("(1,2)", 3), parse_cycles("(1,3)", 3)
+        level = TransversalLevel(1, {1: Permutation.identity(3), 2: a, 3: b}, (a, b))
+        chain = StabilizerChain(3, [level], (a, b))
+        assert chain.order == 3
+        assert audit_chain(chain, [a, b]) == \
+            "level 1: the Schreier generator of point 2 and generator 2 sifts to a " \
+            "non-identity element after level 1"
+
+
 class TestRandomElement:
     def test_trivial_group(self):
         chain = build_chain([], 3)
@@ -356,6 +462,15 @@ def _count_builds(monkeypatch) -> list:
 
 
 class TestLazyChain:
+    def test_repr_builds_no_chain(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        handle = running_handle()
+        assert repr(handle) == "GroupHandle(degree=12, orbits=4)"
+        assert calls == []
+        handle.chain
+        assert repr(handle) == "GroupHandle(degree=12, orbits=4, order=54)"
+        assert len(calls) == 1
+
     def test_built_once_on_first_read(self, monkeypatch):
         calls = _count_builds(monkeypatch)
         handle = running_handle()
