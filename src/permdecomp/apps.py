@@ -5,15 +5,16 @@ path: the derived subgroup (the derived subgroup of a product is the
 product of the derived subgroups) and the number of conjugacy classes (the
 class count of a product is the product of the class counts).  The
 decomposed paths turn computations that are infeasible on the whole group
-into small per-factor ones.
+into small per-factor ones on each :attr:`Factor.handle`, a group on its
+cell's own points, and multiply the results; past the decomposition itself,
+nothing runs at the whole group's degree.
 
 Both class-count paths share one kernel, :func:`count_conjugacy_classes`.
-It works in the group's own points: the sorted support relabelled to
-0..m-1, so a factor of a large-degree group computes at the degree of its
-cell.  Coset representatives and generators become raw images of degree m
-once per call, and elements and their conjugates stay raw images (see
-:mod:`permdecomp.perm` for the storage); no :class:`Permutation` is built
-per element.
+It enumerates a handle at that handle's own degree, after moving a group
+that fixes some points onto its support (:meth:`GroupHandle.on_points`).
+Coset representatives and generators become raw images once per call, and
+elements and their conjugates stay raw images (see :mod:`permdecomp.perm`
+for the storage); no :class:`Permutation` is built per element.
 
 A small benchmark harness times the three phases (whole group,
 decomposition, per-factor) over random instances.  Limits are cooperative:
@@ -28,6 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from statistics import median
 from typing import Sequence
 
@@ -40,7 +42,7 @@ from .oracle import (
     brute_force_decompose,
     random_ddp_group,
 )
-from .perm import Permutation, _identity_image, _operand, _relabel
+from .perm import Permutation, _identity_image, _operand
 from .stabchain import GroupHandle, is_member
 
 DEFAULT_ORDER_CAP = 100_000
@@ -58,6 +60,15 @@ class ClassCountReport:
 
     count: int
     per_factor_counts: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class DerivedSubgroupReport:
+    """Derived subgroup order from the decomposed path: the product of the
+    factors' derived subgroups, each a handle on its factor's own points."""
+
+    order: int
+    per_factor: tuple[GroupHandle, ...]
 
 
 def _commutator(a: Permutation, b: Permutation) -> Permutation:
@@ -101,38 +112,24 @@ def derived_subgroup(handle: GroupHandle, deadline: float | None = None) -> Grou
 
 def derived_subgroup_via_ddpd(handle: GroupHandle,
                               result: DecompositionResult | None = None,
-                              deadline: float | None = None) -> GroupHandle:
-    """Derived subgroup through the decomposition: the group generated by
-    the union of the factors' derived generators.  ``deadline`` applies to
-    each factor's computation."""
+                              deadline: float | None = None) -> DerivedSubgroupReport:
+    """Derived subgroup through the decomposition: the derived subgroup of a
+    direct product is the product of the factors' derived subgroups, so
+    its order is the product of theirs.  ``deadline`` applies to each
+    factor's computation."""
     if result is None:
         result = decompose_handle(handle)
-    gens: list[Permutation] = []
-    expected_order = 1
-    for factor in result.factors:
-        part = derived_subgroup(factor.handle, deadline)
-        gens.extend(part.generators)
-        expected_order *= part.order
-    out = GroupHandle.from_generators(gens, handle.degree)
-    if out.order != expected_order:
-        raise RuntimeError("derived factor orders do not multiply to the closure order")
-    return out
-
-
-def _local_points(handle: GroupHandle) -> list[int]:
-    """The group's own points: its sorted support, which local coordinates
-    relabel to 0..m-1."""
-    return sorted(handle.orbit_structure.support())
+    per_factor = tuple(derived_subgroup(f.handle, deadline) for f in result.factors)
+    return DerivedSubgroupReport(prod(d.order for d in per_factor), per_factor)
 
 
 def iter_elements(handle: GroupHandle):
-    """Yield every group element once, as a raw image in local coordinates:
-    a product of one coset representative per chain level."""
-    points = _local_points(handle)
-    compose = Permutation._composer(len(points))
-    levels = [[_operand(r) for r in _relabel(level.coset_reps.values(), points)]
+    """Yield every group element once, as a raw image at the handle's
+    degree: a product of one coset representative per chain level."""
+    compose = Permutation._composer(handle.degree)
+    levels = [[_operand(r._img) for r in level.coset_reps.values()]
               for level in handle.chain.levels]
-    identity = _identity_image(len(points))
+    identity = _identity_image(handle.degree)
     if not levels:
         yield identity
         return
@@ -152,20 +149,21 @@ def count_conjugacy_classes(handle: GroupHandle,
     """Exact class count by enumerating all elements and partitioning them
     into conjugation orbits under the generators.
 
-    Everything runs on raw images in local coordinates (the group's sorted
-    support relabelled to 0..m-1): the elements come from
-    :func:`iter_elements`, and a conjugate x^-1 h x is two raw products, so no
-    :class:`Permutation` is built per element.  Groups larger than
-    ``DEFAULT_ORDER_CAP`` raise OrderCapExceeded before any enumeration;
-    that is the signal to switch to the decomposed path.
+    A group that fixes some points and moves others is first moved onto its
+    support (:meth:`GroupHandle.on_points`), so it is enumerated at the
+    degree of the points it moves.  Everything runs on raw images: the
+    elements come from :func:`iter_elements`, and a conjugate x^-1 h x is two
+    raw products, so no :class:`Permutation` is built per element.  Groups
+    larger than ``DEFAULT_ORDER_CAP`` raise OrderCapExceeded before any
+    enumeration; that is the signal to switch to the decomposed path.
     """
+    structure = handle.orbit_structure
+    if structure.k and structure.fixed_points:
+        handle = GroupHandle.on_points(handle.generators, sorted(structure.support()))
     if handle.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(f"order {handle.order} exceeds cap {DEFAULT_ORDER_CAP}")
-    points = _local_points(handle)
-    compose = Permutation._composer(len(points))
-    gens = handle.generators
-    conjugators = list(zip(_relabel([x.inverse() for x in gens], points),
-                           map(_operand, _relabel(gens, points))))
+    compose = Permutation._composer(handle.degree)
+    conjugators = [(x.inverse()._img, _operand(x._img)) for x in handle.generators]
     seen: set = set()
     count = 0
     processed = 0
@@ -199,13 +197,8 @@ def count_conjugacy_classes_via_ddpd(handle: GroupHandle,
     """
     if result is None:
         result = decompose_handle(handle)
-    counts = []
-    for factor in result.factors:
-        counts.append(count_conjugacy_classes(factor.handle, deadline).count)
-    total = 1
-    for c in counts:
-        total *= c
-    return ClassCountReport(total, tuple(counts))
+    counts = tuple(count_conjugacy_classes(f.handle, deadline).count for f in result.factors)
+    return ClassCountReport(prod(counts), counts)
 
 
 def _timed(fn, deadline_seconds: float | None):

@@ -32,8 +32,8 @@ generate prod H|_c, the cells carry a direct product exactly when every g|_c
 lies in H, so each is sifted through H's chain on every call; the check reads
 the input generators, never the walk's strong generating set.  Factor orders
 are read off the chain: a level stabilizer of A x B splits, so the base
-points in a cell form a base of that factor.  :attr:`Factor.handle` is built
-only on demand.
+points in a cell form a base of that factor.  :attr:`Factor.handle`, the
+factor as a group on its cell's own points, is built only on demand.
 
 Everything above reads the one chain, so ``verify=True`` checks that chain:
 :func:`~permdecomp.stabchain.audit_chain` proves it complete by Schreier's
@@ -118,9 +118,9 @@ class Factor:
 
     @cached_property
     def handle(self) -> GroupHandle:
-        """The factor's own group handle, built from ``generators`` on first
-        use.  A factor acts on at least one orbit, so it has a generator."""
-        return GroupHandle.from_generators(self.generators, self.generators[0].degree)
+        """The factor as a group on its own points, built from ``generators``
+        on first use: local point i is ``support[i - 1]``."""
+        return GroupHandle.on_points(self.generators, self.support)
 
 
 @dataclass(frozen=True)

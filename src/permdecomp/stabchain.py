@@ -26,7 +26,7 @@ import random
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _relabel
 
 
 class OrbitStructure:
@@ -540,6 +540,13 @@ class GroupHandle:
         by smallest element; the chain waits for its first reader."""
         gens = _dedup_generators(generators)
         return cls(degree, gens, compute_orbits(gens, degree))
+
+    @classmethod
+    def on_points(cls, generators: Sequence[Permutation], points: Sequence[int]) -> "GroupHandle":
+        """The group the generators induce on the invariant, ascending point
+        set ``points``, relabelled so that local point i is ``points[i - 1]``."""
+        return cls.from_generators(list(map(Permutation._make, _relabel(generators, points))),
+                                   len(points))
 
     def _chain_and_boundaries(self) -> tuple[StabilizerChain, tuple[int, ...]]:
         built = self._built

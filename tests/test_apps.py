@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from permdecomp import (
+    DerivedSubgroupReport,
     GroupHandle,
     OrderCapExceeded,
     Permutation,
@@ -13,6 +14,7 @@ from permdecomp import (
     count_conjugacy_classes,
     count_conjugacy_classes_via_ddpd,
     cyclic,
+    decompose_handle,
     derived_subgroup,
     derived_subgroup_via_ddpd,
     dihedral,
@@ -22,6 +24,7 @@ from permdecomp import (
     run_benchmark,
     symmetric,
 )
+import permdecomp.stabchain as stabchain_module
 from permdecomp.apps import _column, iter_elements
 from permdecomp.groups import by_name
 
@@ -100,6 +103,43 @@ class TestDerivedSubgroup:
             H, _ = random_ddp_group(RandomInstanceSpec(alternating(4), 2, 2, seed))
             assert derived_subgroup(H).order == derived_subgroup_via_ddpd(H).order
 
+    def test_report_is_the_product_of_the_factors(self):
+        H, _ = random_ddp_group(RandomInstanceSpec(alternating(4), 3, 2, seed=4))
+        result = decompose_handle(H)
+        report = derived_subgroup_via_ddpd(H, result=result)
+        assert isinstance(report, DerivedSubgroupReport)
+        assert len(report.per_factor) == len(result.factors) == 3
+        product = 1
+        for factor, derived in zip(result.factors, report.per_factor):
+            assert derived.degree == len(factor.support)
+            assert derived.order == derived_subgroup(factor.handle).order
+            product *= derived.order
+        assert report.order == product == derived_subgroup(H).order
+
+
+class TestFactorDegrees:
+    # the decomposed paths work on the factors' own points: no chain at the
+    # whole group's degree, not even to check a product law that is a theorem
+
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 2, 4), ("D8", 4, 3, 5),
+                                                   ("S3", 3, 2, 6)])
+    def test_via_ddpd_builds_no_chain_at_the_whole_degree(self, monkeypatch,
+                                                           inner, r, s, seed):
+        H, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
+        result = decompose_handle(H)
+        degrees = []
+        build = stabchain_module.build_chain
+
+        def recording_build(gens, degree, candidates=None):
+            degrees.append(degree)
+            return build(gens, degree, candidates)
+
+        monkeypatch.setattr(stabchain_module, "build_chain", recording_build)
+        count_conjugacy_classes_via_ddpd(H, result=result)
+        derived_subgroup_via_ddpd(H, result=result)
+        assert degrees and H.degree not in degrees
+        assert set(degrees) <= {len(f.support) for f in result.factors}
+
 
 class TestClassCounting:
     def test_c3(self):
@@ -119,7 +159,7 @@ class TestClassCounting:
         assert count_conjugacy_classes(h).count == 5
 
     def test_element_enumeration_is_exact(self):
-        # the running example moves all of 1..12, so local point i is point i + 1
+        # elements are 0-based raw images at the handle's degree
         h = running_handle()
         elems = list(iter_elements(h))
         assert len(elems) == 54 == len(set(elems))
@@ -139,7 +179,7 @@ class TestClassCounting:
 
     def test_trivial_group_has_one_class(self):
         h = GroupHandle.from_generators([], 5)
-        assert [len(e) for e in iter_elements(h)] == [0]
+        assert list(iter_elements(h)) == [Permutation.identity(5)._img]
         assert count_conjugacy_classes(h).count == 1
 
     @settings(max_examples=60, deadline=None)
@@ -150,7 +190,7 @@ class TestClassCounting:
 
     @pytest.mark.parametrize("n", [257, 300])
     def test_cyclic_on_the_tuple_path(self, n):
-        # the support has more than 256 points, so local images are tuples
+        # the degree is above 256, so images are tuples
         assert count_conjugacy_classes(cyclic(n)).count == n
 
     @pytest.mark.parametrize("inner, r, s, seed, count, per_factor", [

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,6 +182,18 @@ class TestRandgenCommand:
         assert captured.err.startswith("error: s=42 ") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_exhausted_retry_budget_exit_4(self, tmp_path, capsys):
+        # one generator never generates the non-cyclic D8, so every attempt
+        # is rejected until the budget runs out
+        out = tmp_path / "never.grp"
+        start = time.perf_counter()
+        assert main(["randgen", "--inner", "D8", "--r", "1", "--s", "1", str(out)]) == 4
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     # every bad command line exits 1 with one "error:" line, never argparse's 2
@@ -239,6 +252,23 @@ class TestUsageErrors:
         path = tmp_path / "bin.grp"
         path.write_bytes(b"degree 3\ngen (1,2)\xff\n")
         self.assert_one_error_line(capsys, ["decompose", str(path)], "cannot read")
+
+    def test_group_file_without_degree_line(self, tmp_path, capsys):
+        path = tmp_path / "nodeg.grp"
+        path.write_text("# comments only\n\n")
+        self.assert_one_error_line(capsys, ["decompose", str(path)], "missing degree line")
+
+    def test_document_not_json(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text("degree 3\n")
+        self.assert_one_error_line(capsys, ["verify", str(path), str(path)], "not valid JSON")
+
+    def test_document_without_factors(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"degree": 3, "factors": [{"support": [1, 2, 3]}]}))
+        bad.write_text(json.dumps({"degree": 3}))
+        self.assert_one_error_line(capsys, ["verify", str(bad), str(good)],
+                                   "missing factor supports")
 
     def test_document_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bin.json"
@@ -306,6 +336,15 @@ class TestVerifyCommand:
         main(["oracle", running_file])
         oracle.write_text(capsys.readouterr().out)
         assert main(["verify", str(fast), str(oracle)]) == 0
+
+    def test_degrees_differ_exit_code(self, tmp_path, capsys):
+        small, big = tmp_path / "small.json", tmp_path / "big.json"
+        small.write_text(json.dumps({"degree": 3, "factors": [{"support": [1, 2, 3]}]}))
+        big.write_text(json.dumps({"degree": 4, "factors": [{"support": [1, 2, 3]}]}))
+        assert main(["verify", str(small), str(big)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "not equivalent: degrees differ (3 vs 4)\n"
+        assert captured.err == ""
 
     def test_mismatch_exit_code(self, tmp_path, capsys):
         split_path, merged_path = tmp_path / "s.grp", tmp_path / "m.json"

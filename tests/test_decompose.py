@@ -71,6 +71,12 @@ def relabeled(handle, big, rng):
     return GroupHandle.from_generators(gens, big)
 
 
+def in_own_points(g, support):
+    # g on its invariant point set support, with support[i - 1] relabelled i
+    local = {p: i for i, p in enumerate(support, start=1)}
+    return Permutation([local[g.image(p)] for p in support])
+
+
 def relabelled_to_orbit_order(handle, order):
     # the group conjugated by sigma, whose smallest-element orbit order is
     # the given order of the original orbits
@@ -401,7 +407,7 @@ class TestDecompose:
         res = decompose(gens, 12)
         for factor in res.factors:
             for g in gens:
-                assert is_member(factor.handle.chain, g.restrict(factor.support))
+                assert is_member(factor.handle.chain, in_own_points(g, factor.support))
 
     @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
     def test_factor_generators_lie_in_the_group(self, instance):
@@ -552,6 +558,19 @@ class TestFactorsFromTheChain:
         rng = random.Random(instance[3])
         for big in (255, 256, 257):
             self.assert_orders_agree(relabeled(base_group, big, rng))
+
+    @pytest.mark.parametrize("instance", SEEDED, ids=instance_id)
+    def test_factor_handles_live_in_their_own_points(self, instance):
+        base_group = seeded_handle(*instance)
+        rng = random.Random(instance[3])
+        for big in (255, 256, 257, 300):
+            handle = relabeled(base_group, big, rng)
+            for factor in decompose_handle(handle).factors:
+                own = factor.handle
+                assert own.degree == len(factor.support)
+                assert own.order == factor.order
+                for g in handle.generators:
+                    assert is_member(own.chain, in_own_points(g, factor.support))
 
     def test_chains_built(self, monkeypatch):
         handle = seeded_handle(*SEEDED[0])
