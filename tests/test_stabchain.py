@@ -208,6 +208,32 @@ class TestDeterminism:
             assert (len(chain.strong_generators), _sha(chain.strong_generators),
                     _sha([",".join(map(str, chain.base))])) == expected
 
+    # the same two instances after 2 * |gens| seeded Nielsen moves: mixed
+    # generators add residues and revisit levels, which plain ones rarely do
+    @pytest.mark.parametrize("r, degree, orbit_ordered, smallest_moved", [
+        (21, 252,
+         (148, "28ec797f21772dbcea2e9d1f35e9c8fb0b297c4b77f5e4d537eb013df53d61a8",
+          "7a13e05ee222686fd5f8bca2b72363d87b6019af124932fd843c2e31b01ed8e3"),
+         (142, "0000370a740e6266d04c339e652068517b5cb64c7de75b6e41c179bbef10f015",
+          "53b7c1c7ec89bcce28fcfa78646f13938592750245cd9b4457008f739ebc297a")),
+        (22, 264,
+         (160, "099abb86e4242f633da69c33fb7f0ecfd2cc5ae04f1494739ec01e8614f39264",
+          "08edaa647fe03f4b96aeb95eb25e866ab80357262392ebcae3cb0a9a1f6e4885"),
+         (155, "9ad7f2f647026f04672937b7bc070a60901ce1926109c65e51f965d1d3a6a7f5",
+          "b28611adfb0b90a8b29409c691b6a9bb0e9cf9358b5eb8e37d65d0142e13a5d3")),
+    ], ids=["degree-252-bytes", "degree-264-tuples"])
+    def test_mixed_generators_across_the_bytes_tuple_boundary(
+            self, r, degree, orbit_ordered, smallest_moved):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 3, seed=1))
+        gens = group.generators
+        mixed = [Permutation(t) for t in
+                 nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+        chains = (GroupHandle.from_generators(mixed, degree).chain, build_chain(mixed, degree))
+        for chain, expected in zip(chains, (orbit_ordered, smallest_moved)):
+            assert chain.order == group.order
+            assert (len(chain.strong_generators), _sha(chain.strong_generators),
+                    _sha([",".join(map(str, chain.base))])) == expected
+
 
 def pinned_d10_chain(rep2):
     """The two-level chain with the exact transversals of the worked sifting
