@@ -135,8 +135,8 @@ def load_document(path: str) -> dict:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise GroupFileError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or type(doc.get("degree")) is not int:
-        raise GroupFileError(f"{path}: not a decomposition document with an integer degree")
+    if not isinstance(doc, dict) or type(doc.get("degree")) is not int or doc["degree"] < 1:
+        raise GroupFileError(f"{path}: not a decomposition document with a positive integer degree")
     return doc
 
 

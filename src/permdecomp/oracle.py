@@ -34,7 +34,6 @@ from .decompose import OrbitPartition
 from .perm import Permutation
 from .stabchain import (
     GroupHandle,
-    _restricted_generators,
     build_chain,
     is_member,
     random_element,
@@ -71,17 +70,14 @@ class RandomInstanceSpec:
     def __post_init__(self):
         if self.r < 1 or self.s < 1:
             raise ValueError("r and s must be at least 1")
-        if self.inner_group.orbit_structure.k != 1:
-            raise ValueError("inner group must be transitive")
-        if len(self.inner_group.orbit_structure.orbit(1)) != self.inner_group.degree:
-            raise ValueError("inner group must be transitive on its full point set")
 
 
 def _node(handle: GroupHandle, moved, key: frozenset[int]):
     """The restriction of the group to the orbit subset ``key``: the input
     generators that move it, each with the orbits of ``key`` it moves, and a
     membership test whose exact chain is built on its first call (for every
-    orbit, the handle's own chain is read then)."""
+    orbit, the handle's own chain is read then), at the whole degree, as the
+    elements it tests keep the original points."""
     profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
     chain = None
 
@@ -91,8 +87,9 @@ def _node(handle: GroupHandle, moved, key: frozenset[int]):
             if len(key) == handle.orbit_structure.k:
                 chain = handle.chain
             else:
-                gens, support = _restricted_generators(handle, key)
-                chain = build_chain(gens, handle.degree, support)
+                support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
+                chain = build_chain([g.restrict(support) for g, _ in profile],
+                                    handle.degree, support)
         return is_member(chain, x)
     return profile, member
 
@@ -258,7 +255,6 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
     r, s = spec.r, spec.s
     degree = r * s * d
     gens: list[Permutation] = []
-    factor_blocks: list[list[frozenset[int]]] = []
     for t in range(r):
         factor = make_subdirect(spec.inner_group, s, rng)
         offset = t * s * d
@@ -267,8 +263,6 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
             for p in range(1, s * d + 1):
                 table[offset + p - 1] = g.image(p) + offset
             gens.append(Permutation(table))
-        factor_blocks.append([frozenset(range(offset + b * d + 1, offset + (b + 1) * d + 1))
-                              for b in range(s)])
     # every point is moved (the inner group is transitive of degree >= 2),
     # so the scrambling permutation is uniform over all points
     points = list(range(1, degree + 1))
@@ -277,14 +271,9 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
     conjugated = [g.conjugate(sigma) for g in gens]
     handle = GroupHandle.from_generators(conjugated, degree)
 
-    image_blocks = {frozenset(sigma.image(p) for p in block): t
-                    for t, blocks in enumerate(factor_blocks) for block in blocks}
+    # each orbit is sigma's image of a block of factor t, on points t*s*d+1..(t+1)*s*d
+    sigma_inv = sigma.inverse()
     cells: dict[int, list[int]] = {}
-    for idx in range(1, handle.orbit_structure.k + 1):
-        orbit = frozenset(handle.orbit_structure.orbit(idx))
-        t = image_blocks.get(orbit)
-        if t is None:
-            raise RuntimeError("orbit of the scrambled group does not match a factor block")
-        cells.setdefault(t, []).append(idx)
-    expected = OrbitPartition(list(cells.values()))
-    return handle, expected
+    for idx, orbit in enumerate(handle.orbit_structure.orbits, start=1):
+        cells.setdefault((sigma_inv.image(orbit[0]) - 1) // (s * d), []).append(idx)
+    return handle, OrbitPartition(list(cells.values()))

@@ -156,7 +156,7 @@ class StabilizerChain:
 
 class _Node:
     # builder-internal level for one prescribed candidate point
-    __slots__ = ("p0", "gens", "reps", "srep", "inv", "tree_edge", "pts",
+    __slots__ = ("p0", "gens", "reps", "srep", "inv", "pts",
                  "checked_pts", "checked_gens", "exp_pts", "exp_gens")
 
     def __init__(self, p0: int):
@@ -168,7 +168,6 @@ class _Node:
         # 0-based point -> the inverse rep's _table(), the right operand
         # of the raw product
         self.inv: dict[int, object] = {}
-        self.tree_edge: dict[int, tuple[int, int]] = {}  # q -> (p, gen index)
         self.pts: list[int] = []          # orbit points in discovery order
         self.checked_pts = 0              # Schreier pairs (p, s) verified for
         self.checked_gens = 0             # p_idx < checked_pts and s_idx < checked_gens
@@ -256,7 +255,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         reps = node.reps
         srep = node.srep
         inv = node.inv
-        tree_edge = node.tree_edge
         pts = node.pts
         if not reps:
             reps[node.p0] = identity
@@ -282,7 +280,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                     reps[q] = rq
                     srep[q] = compose(srep[p], g._table())
                     inv[q] = rq.inverse()._table()
-                    tree_edge[q] = (p, gi)
                     pts.append(q)
             i += 1
         node.exp_pts = len(pts)
@@ -320,47 +317,38 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             node.checked_gens = len(node.gens)
             t -= 1
             continue
-        restart = None
         pts = node.pts
         gens_local = node.gens
         srep = node.srep
         inv = node.inv
-        tree_edge = node.tree_edge
-        while node.checked_pts < len(pts) or node.checked_gens < len(gens_local):
-            np, ng = node.checked_pts, node.checked_gens
-            npts, ngens = len(pts), len(gens_local)
-            # pairs not yet checked: new points with all gens, then old
-            # points with new gens.  Counters are committed only after a
-            # clean pass; a restart re-enumerates from the old snapshot.
-            pairs = [(p_i, g_i) for p_i in range(np, npts) for g_i in range(ngens)]
-            pairs += [(p_i, g_i) for p_i in range(np) for g_i in range(ng, ngens)]
-            for p_i, g_i in pairs:
-                p = pts[p_i]
-                s = gens_local[g_i]
-                q = s._img[p]
-                if tree_edge.get(q) == (p, g_i):
-                    continue
-                prod = compose(srep[p], s._table())
-                if prod == srep[q]:
-                    continue
-                res, j = strip(compose(prod, inv[q]), t + 1)
-                if j == nnodes:  # fixes every candidate, which cover the support
-                    continue
-                residue = sigma_inv * Permutation._make(res)
-                strong.append(residue)
-                attach(residue, t + 1, j)
-                for l in range(t + 1, j + 1):
-                    extend_orbit(nodes[l])
-                restart = j
-                break
-            if restart is not None:
-                break
+        np, ng = node.checked_pts, node.checked_gens
+        npts, ngens = len(pts), len(gens_local)
+        # pairs not yet checked: new points with all gens, then old points
+        # with new gens.  A residue joins levels t+1..j only, and after one
+        # this level is visited again from its committed counters.
+        pairs = [(p_i, g_i) for p_i in range(np, npts) for g_i in range(ngens)]
+        pairs += [(p_i, g_i) for p_i in range(np) for g_i in range(ng, ngens)]
+        for p_i, g_i in pairs:
+            p = pts[p_i]
+            s = gens_local[g_i]
+            q = s._img[p]
+            prod = compose(srep[p], s._table())
+            if prod == srep[q]:  # every tree edge lands here
+                continue
+            res, j = strip(compose(prod, inv[q]), t + 1)
+            if j == nnodes:  # fixes every candidate, which cover the support
+                continue
+            residue = sigma_inv * Permutation._make(res)
+            strong.append(residue)
+            attach(residue, t + 1, j)
+            for l in range(t + 1, j + 1):
+                extend_orbit(nodes[l])
+            t = j
+            break
+        else:
             node.checked_pts = npts
             node.checked_gens = ngens
-        if restart is not None:
-            t = restart
-            continue
-        t -= 1
+            t -= 1
 
     levels = []
     for node in nodes:
@@ -588,15 +576,8 @@ def pointwise_stabilizer_level(handle: GroupHandle, i: int) -> int:
     return handle.orbit_base_boundaries[i - 1] + 1
 
 
-def _restricted_generators(handle: GroupHandle, key: frozenset[int]) -> tuple[list[Permutation], list[int]]:
-    support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
-    gens = [g.restrict(support) for g in handle.generators
-            if any(g._img[p - 1] != p - 1 for p in support)]
-    return gens, support
-
-
 def restriction_order(handle: GroupHandle, orbit_indices: Sequence[int]) -> int:
     """Order of the restriction of the group to the union of the given
-    orbits, computed by a fresh chain on the restricted generators."""
-    gens, support = _restricted_generators(handle, frozenset(orbit_indices))
-    return build_chain(gens, handle.degree, support).order
+    orbits: the order of :meth:`GroupHandle.on_points` on those points."""
+    points = sorted(p for j in set(orbit_indices) for p in handle.orbit_structure.orbit(j))
+    return GroupHandle.on_points(handle.generators, points).order

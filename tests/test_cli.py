@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import permdecomp
 from permdecomp import GroupHandle, decompose_handle, parse_cycles
 from permdecomp.cli import main
 from permdecomp.groupfile import (
@@ -12,7 +17,7 @@ from permdecomp.groupfile import (
     read_group_file,
     write_group_file,
 )
-from permdecomp.groups import by_name, load_bundled_group
+from permdecomp.groups import alternating, by_name, cyclic, load_bundled_group, symmetric
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -69,6 +74,24 @@ class TestDecomposeCommand:
 
     def test_check_flag(self, running_file, capsys):
         assert main(["decompose", "--check", running_file]) == 0
+
+    def test_module_entry_point(self, running_file, tmp_path, capsys):
+        # python -m permdecomp runs __main__ and console_main, which turn
+        # main's return value into the exit status
+        src = str(Path(permdecomp.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(path):
+            return subprocess.run([sys.executable, "-m", "permdecomp", "decompose", path],
+                                  capture_output=True, text=True, env=env, timeout=60)
+
+        assert main(["decompose", running_file]) == 0
+        done = run(running_file)
+        assert done.returncode == 0 and done.stdout == capsys.readouterr().out
+        missing = run(str(tmp_path / "missing.grp"))
+        assert missing.returncode == 1 and missing.stdout == ""
+        assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
 
     def test_transitive_single_cell(self, tmp_path, capsys):
         path = tmp_path / "s5.grp"
@@ -321,6 +344,14 @@ class TestUsageErrors:
         for argv in ([str(bad), str(bad)], [str(bad), str(good)]):
             self.assert_one_error_line(capsys, ["verify", *argv], "integer degree")
 
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_not_positive(self, tmp_path, capsys, degree):
+        # group files reject such degrees too; no document has one
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"degree": degree, "factors": []}))
+        self.assert_one_error_line(capsys, ["verify", str(bad), str(bad)],
+                                   "positive integer degree")
+
 
 class TestVerifyCommand:
     def test_document_vs_itself(self, running_file, tmp_path, capsys):
@@ -417,6 +448,16 @@ class TestBuiltinGroups:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             by_name("Q8")
+
+    @pytest.mark.parametrize("family, n", [(cyclic, 1), (alternating, 2), (symmetric, 1)],
+                             ids=["C1", "A2", "S1"])
+    def test_family_below_its_smallest_degree(self, family, n):
+        with pytest.raises(ValueError, match="needs degree"):
+            family(n)
+
+    def test_symmetric_group_on_two_points(self):
+        h = symmetric(2)
+        assert h.degree == 2 and h.order == 2
 
     @pytest.mark.parametrize("name,order", [("W2222", 2 ** 15), ("W2C8", 2048)])
     def test_bundled_degree_16_groups(self, name, order):

@@ -687,6 +687,10 @@ class TestOrbitPartition:
         with pytest.raises(ValueError):
             OrbitPartition([[1], [3]])
 
+    def test_rejects_empty_cell(self):
+        with pytest.raises(ValueError, match="empty cell"):
+            OrbitPartition([[1], []])
+
     def test_cell_lookup(self):
         p = OrbitPartition([[1], [2, 3]])
         assert p.cell_of(3) == (2, 3) and p.max_index == 3

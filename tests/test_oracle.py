@@ -101,6 +101,10 @@ class TestBruteForce:
         h = GroupHandle.from_generators([parse_cycles("(1,2)(3,4)", 4)], 4)
         assert brute_force_decompose(h) == OrbitPartition([[1, 2]])
 
+    def test_trivial_group_has_the_empty_partition(self):
+        h = GroupHandle.from_generators([], 4)
+        assert brute_force_decompose(h) == OrbitPartition(())
+
     def test_orbit_cap(self):
         gens = [parse_cycles(f"({2*i+1},{2*i+2})", 26) for i in range(13)]
         h = GroupHandle.from_generators(gens, 26)
@@ -242,6 +246,10 @@ class TestMakeSubdirect:
         with pytest.raises(ValueError):
             make_subdirect(intrans, 2, random.Random(0))
 
+    def test_requires_a_copy(self):
+        with pytest.raises(ValueError, match="s must be at least 1"):
+            make_subdirect(cyclic(3), 0, random.Random(0))
+
     @pytest.mark.parametrize("inner", ["C3", "S3"])
     def test_copies_above_the_orbit_cap_fail_fast(self, inner):
         # acceptance runs the exponential oracle, which did not return
@@ -291,6 +299,15 @@ class TestRandomDdpGroup:
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
             RandomInstanceSpec(cyclic(3), 0, 2, seed=1)
+
+    def test_requires_transitive_inner(self):
+        # the spec accepts it; make_subdirect, the generator's first step,
+        # refuses it
+        intrans = GroupHandle.from_generators(
+            [parse_cycles("(1,2)", 4), parse_cycles("(3,4)", 4)], 4)
+        spec = RandomInstanceSpec(intrans, 2, 2, seed=1)
+        with pytest.raises(ValueError, match="inner group must be transitive"):
+            random_ddp_group(spec)
 
     @pytest.mark.parametrize("name", ["random_ddp_A4_r2_s3", "random_ddp_D8_r17_s4"])
     def test_golden_instances(self, name):

@@ -76,6 +76,16 @@ class TestImage:
         with pytest.raises(ValueError):
             perm("(1,2)", 2).image(3)
 
+    @pytest.mark.parametrize("images, message", [([], "at least 1"), ([1, 1], "not a bijection")],
+                             ids=["empty", "repeated-image"])
+    def test_table_must_be_a_bijection_on_at_least_one_point(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation(images)
+
+    def test_identity_of_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Permutation.identity(0)
+
 
 class TestSupport:
     def test_identity_empty(self):
@@ -102,6 +112,10 @@ class TestRestrict:
         with pytest.raises(ValueError):
             perm("(1,2,3)", 3).restrict({1, 2})
 
+    def test_point_out_of_range(self):
+        with pytest.raises(ValueError, match=r"point 4 out of range 1\.\.3"):
+            perm("(1,2)", 3).restrict({4})
+
 
 class TestConjugate:
     def test_relabeling(self):
@@ -117,6 +131,10 @@ class TestConjugate:
         got = g.conjugate(s)
         assert tab(got) == expected
         assert format_cycles(got) == "(1,3,2)"
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError, match="degree mismatch: 3 vs 4"):
+            perm("(1,2)", 3).conjugate(perm("(1,2)", 4))
 
     @given(perms(10), perms(10))
     def test_support_maps_through(self, g, s):
@@ -142,6 +160,10 @@ class TestCycleNotation:
     def test_rejects_malformed(self, bad):
         with pytest.raises(CycleFormatError):
             parse_cycles(bad, 12)
+
+    def test_from_cycles_of_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Permutation.from_cycles([], 0)
 
     @pytest.mark.parametrize("text", [X1, X2, X3, X4, "()"])
     def test_round_trip_paper_generators(self, text):

@@ -157,6 +157,11 @@ class TestBuildChainContract:
         chain = build_chain([parse_cycles("(2,4)", 5)], 5, [5, 4, 1, 2, 3])
         assert chain.base == (4,) and chain.order == 2
 
+    def test_generator_of_another_degree_raises(self):
+        gens = [parse_cycles("(1,2)", 4), parse_cycles("(1,2,3)", 5)]
+        with pytest.raises(ValueError, match="generator degree 5 != 4"):
+            build_chain(gens, 4)
+
 
 def _sha(lines):
     return hashlib.sha256("\n".join(map(str, lines)).encode()).hexdigest()
@@ -269,6 +274,25 @@ class TestSift:
         siftee, stop = sift(chain, Permutation.identity(5))
         assert siftee.is_identity() and stop == len(chain.levels) + 1
 
+    @pytest.mark.parametrize("reps, message", [
+        ({1: parse_cycles("(1,2)", 3), 2: Permutation.identity(3)}, "base point to the identity"),
+        ({1: Permutation.identity(3), 2: parse_cycles("(1,3)", 3)}, "representative for 2"),
+    ], ids=["base-point-not-identity", "wrong-image"])
+    def test_level_checks_its_representatives(self, reps, message):
+        with pytest.raises(ValueError, match=message):
+            TransversalLevel(1, reps)
+
+    def test_element_of_another_degree_raises(self):
+        with pytest.raises(ValueError, match="degree mismatch: 6 vs 5"):
+            sift(build_chain(d10_gens(), 5), Permutation.identity(6))
+
+    @pytest.mark.parametrize("start_level", [0, 4])
+    def test_start_level_out_of_range_raises(self, start_level):
+        chain = build_chain(d10_gens(), 5)
+        assert len(chain.levels) == 2
+        with pytest.raises(ValueError, match=r"start_level .* out of range 1\.\.3"):
+            sift(chain, Permutation.identity(5), start_level)
+
     def test_exhausted_partial_chain_returns_input(self):
         handle = running_handle()
         x3 = parse_cycles(RUNNING[2], 12)
@@ -301,6 +325,9 @@ class TestIsMember:
 
     def test_identity(self):
         assert is_member(build_chain(d10_gens(), 5), Permutation.identity(5))
+
+    def test_element_of_another_degree_is_no_member(self):
+        assert not is_member(build_chain(d10_gens(), 5), Permutation.identity(6))
 
     def test_generator_product(self):
         handle = running_handle()
