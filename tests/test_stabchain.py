@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -238,6 +239,46 @@ class TestDeterminism:
             assert chain.order == group.order
             assert (len(chain.strong_generators), _sha(chain.strong_generators),
                     _sha([",".join(map(str, chain.base))])) == expected
+
+    # the wide workload's D8 s=4 base group above degree 256 (grid seed
+    # 2004_11620) at r=18 and r=20, plain and after 2 * |gens| seeded Nielsen
+    # moves, each chain digested whole by _chain_digest
+    @pytest.mark.parametrize("r, mixed, orbit_ordered, smallest_moved", [
+        (18, False, "cb3744c6d625b6f1f8e5b0acf74638c061bf35772c967c71bfdf4ba06ad1abe0",
+         "24fe12862d796bc8f4e950ae34aafe15e71fad3437381d036d2859b94fe70e1f"),
+        (18, True, "a71d6996ddbd09e893ceeea479c66157be81ebed0642aa1a22bbad5507ee42d2",
+         "d84651c590da78ddb5899edb04fcfc68a15e3fdce86f5e2e886f02b9044466a1"),
+        (20, False, "ab8f0b10ba38e543c0152d58fe05852f06c11e8e26bbab1ec9d5052daada0515",
+         "4366555e62adc35d6165859c946606e9b15a8db1acfa102056344b984d75af83"),
+        (20, True, "409105b77142bb746ce66e66f46311a9feab8d7d7b54e604af8910408da52494",
+         "d65422552e67085b882176022426810d53299ecff242b2bebb8df137f423498e"),
+    ], ids=["degree-288", "degree-288-mixed", "degree-320", "degree-320-mixed"])
+    def test_wide_instances_above_degree_256(self, r, mixed, orbit_ordered, smallest_moved):
+        group, _ = _wide_d8(r)
+        gens = list(group.generators)
+        if mixed:
+            gens = [Permutation(t) for t in
+                    nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+        chains = (GroupHandle.from_generators(gens, group.degree).chain,
+                  build_chain(gens, group.degree))
+        for chain, expected in zip(chains, (orbit_ordered, smallest_moved)):
+            assert chain.order == group.order
+            assert _chain_digest(chain) == expected
+
+
+@functools.cache
+def _wide_d8(r):
+    return random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 4, seed=2004_11620))
+
+
+def _chain_digest(chain):
+    """SHA-256 over the base, the strong generators in order, and each
+    level's coset representatives and inverse tables in their stored order."""
+    lines = [",".join(map(str, chain.base)), *chain.strong_generators]
+    for level in chain.levels:
+        lines += (f"{q} {r}" for q, r in level.coset_reps.items())
+        lines += (f"{q} {','.join(map(str, tbl))}" for q, tbl in level._inv0.items())
+    return _sha(lines)
 
 
 def pinned_d10_chain(rep2):
