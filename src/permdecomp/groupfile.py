@@ -16,6 +16,7 @@ integer width.
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 from . import __version__
@@ -25,6 +26,7 @@ from .stabchain import GroupHandle
 
 DOCUMENT_FORMAT = "permdecomp-decomposition/1"
 SIDECAR_FORMAT = "permdecomp-expected/1"
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 
 class GroupFileError(ValueError):
@@ -44,10 +46,11 @@ def parse_group_text(text: str) -> tuple[int, list[Permutation]]:
         if keyword == "degree":
             if degree is not None:
                 raise GroupFileError(f"line {lineno}: duplicate degree line")
-            try:
-                degree = int(rest)
-            except ValueError:
-                raise GroupFileError(f"line {lineno}: bad degree {rest!r}") from None
+            # ASCII digits only: int() would also take "+4", "1_0" and
+            # other scripts' digits, which the writer never produces
+            if not _DIGITS_RE.fullmatch(rest):
+                raise GroupFileError(f"line {lineno}: bad degree {rest!r}")
+            degree = int(rest)
             if degree < 1:
                 raise GroupFileError(f"line {lineno}: degree must be positive")
         elif keyword == "gen":

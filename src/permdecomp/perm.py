@@ -11,11 +11,15 @@ Conventions used throughout the package:
 Permutations are immutable and hashable, so they can be freely shared,
 stored in sets and used as dictionary keys.
 
-Internally the image table is stored 0-based.  The degree alone picks the
-representation, and this module is the only place that knows it: degrees
-1..256 store ``bytes`` (every image is 0..255) and compose with one
-``bytes.translate``; larger degrees store a tuple of ints and compose with
-one ``operator.itemgetter`` call.
+Internally the image table is stored 0-based.  The length of the image
+alone picks the representation, and this module is the only place that
+knows it: images of length 0..256 are ``bytes`` (every image is 0..255) and
+compose with one ``bytes.translate``; longer images are tuples of ints and
+compose with one ``operator.itemgetter`` call.  The chain builder also runs
+on raw images that are not a ``Permutation``'s: an element's action on the
+first m points, or on a suffix rebased to start at 0 (:func:`_rebased`),
+stored by the same rule, so a suffix of at most 256 points is ``bytes``
+whatever the degree.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ class CycleFormatError(ValueError):
 _MAX_BYTES_DEGREE = 256
 _PAD = bytes(256)
 
-# after stripping whitespace: "()" alone, or one or more cycles of >= 2 points
-_PERM_RE = re.compile(r"(\(\d+(?:,\d+)+\))+")
-_CYCLE_RE = re.compile(r"\(([\d,]+)\)")
+# after stripping whitespace: "()" alone, or one or more cycles of >= 2
+# points in ASCII digits (\d would also match other scripts' digits)
+_PERM_RE = re.compile(r"(\([0-9]+(?:,[0-9]+)+\))+")
+_CYCLE_RE = re.compile(r"\(([0-9,]+)\)")
 
 
 def _as_image(table: Sequence[int]) -> bytes | tuple[int, ...]:
@@ -60,6 +65,53 @@ def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[byte
     ``len(points)``, stored as that degree dictates."""
     local = {p - 1: i for i, p in enumerate(points)}
     return [_as_image([local[g._img[p - 1]] for p in points]) for g in perms]
+
+
+@cache
+def _shift_down(start: int, degree: int) -> tuple[int, ...]:
+    return tuple(range(-start, degree - start))
+
+
+def _rebased(img: bytes | tuple[int, ...], start: int) -> bytes | tuple[int, ...]:
+    """The stored form of ``img`` on its indices from ``start`` on, shifted
+    down by ``start``; ``img`` must map those indices among themselves.
+    One C-level gather: ``start`` must leave at least two indices."""
+    return _as_image(itemgetter(*img[start:])(_shift_down(start, len(img))))
+
+
+def _lifted(img: bytes | tuple[int, ...], start: int, degree: int) -> bytes | tuple[int, ...]:
+    """The stored form of the image of ``degree`` indices that acts on
+    ``start``.. as ``img`` shifted up by ``start`` and fixes the others:
+    :func:`_rebased` undone and padded to ``degree``."""
+    n = len(img)
+    if start:
+        img = itemgetter(*img)(_shift_down(-start, n))  # n >= 2, as in _rebased
+    else:
+        tail = _identity_image(degree)[n:]
+        if type(tail) is type(img):  # the same form: one concatenation
+            return img + tail
+    return _as_image((*range(start), *img, *range(start + n, degree)))
+
+
+@cache
+def _inverse_pads(degree: int) -> tuple[bytes, bytes]:
+    # the indices past degree, and the identity padded with zeros as
+    # _operand pads: the two tails that _inverse_operand hands maketrans
+    return bytes(range(degree, _MAX_BYTES_DEGREE)), _operand(_identity_image(degree))
+
+
+def _inverse_operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
+    """The right operand of :meth:`Permutation._composer` for the inverse of
+    the raw image ``img``: what ``_table()`` of the inverse would hold."""
+    n = len(img)
+    if n <= _MAX_BYTES_DEGREE:
+        # maketrans sends img[i] to i and the indices past n to 0
+        past, to = _inverse_pads(n)
+        return bytes.maketrans(img + past, to)
+    inv = [0] * n
+    for i, x in enumerate(img):
+        inv[x] = i
+    return tuple(inv)
 
 
 def _compose_tuples(img: tuple[int, ...], tbl: tuple[int, ...]) -> tuple[int, ...]:
@@ -137,8 +189,10 @@ class Permutation:
 
     @staticmethod
     def _composer(degree: int):
-        """The raw product for one degree: ``op(a._img, b._table())`` is
-        ``(a * b)._img``.  Hot loops fetch it once and run on raw images."""
+        """The raw product for images of length ``degree``: ``op(a._img,
+        b._table())`` is ``(a * b)._img``, and ``op(a, _operand(b))`` the
+        same for raw images.  Hot loops fetch it once and run on raw
+        images."""
         return bytes.translate if degree <= _MAX_BYTES_DEGREE else _compose_tuples
 
     def _table(self) -> bytes | tuple[int, ...]:
@@ -157,15 +211,7 @@ class Permutation:
         return Permutation._make(Permutation._composer(len(a))(a, other._table()))
 
     def inverse(self) -> "Permutation":
-        img = self._img
-        n = len(img)
-        if n <= _MAX_BYTES_DEGREE:
-            # maketrans sends img[i] to i: a translate table of the inverse
-            return Permutation._make(bytes.maketrans(img, _identity_image(n))[:n])
-        inv = [0] * n
-        for i, x in enumerate(img):
-            inv[x] = i
-        return Permutation._make(tuple(inv))
+        return Permutation._make(_inverse_operand(self._img)[:len(self._img)])
 
     def conjugate(self, s: "Permutation") -> "Permutation":
         """Return s^-1 * self * s.
@@ -244,8 +290,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like ``(1,2,3)(7,9,8)`` into a permutation.
 
     Grammar: ``perm := "()" | cycle+`` with ``cycle := "(" int ("," int)+ ")"``.
-    Whitespace is ignored, points are positive base-10 integers, and cycles
-    must be disjoint.  The identity is written ``()``.
+    Whitespace is ignored, points are positive integers in ASCII digits, and
+    cycles must be disjoint.  The identity is written ``()``.
     """
     stripped = re.sub(r"\s+", "", text)
     if stripped == "()":

@@ -12,12 +12,17 @@ an earlier orbit after later-orbit base points already exist.
 
 Redundant candidates (whose basic orbit stays a singleton) are dropped from
 the published chain, so bases are always non-redundant.  Most candidates are
-redundant, so the builder reads every image in candidate order (see
-:func:`build_chain`) and finds the next candidate an element moves by slice
-comparisons instead of visiting each candidate in turn.
+redundant, so the builder relabels the points so that the candidates are
+positions 0..m-1 in order (see :func:`build_chain`) and finds the next
+candidate an element moves in C instead of visiting each candidate in
+turn.  An element at level t fixes positions 0..t-1, so from
+t0 = max(0, m - 256) on the builder keeps only its rebased action on
+positions t0..m-1, which ``perm`` stores as ``bytes``: at most the first
+m - 256 levels of a chain with more than 256 candidates compose tuples.
 
-After construction a chain is immutable; orders are plain Python ints and
-therefore arbitrary precision.
+After construction a chain is immutable (its levels compute their inverse
+tables on the first sift, always to the same values); orders are plain
+Python ints and therefore arbitrary precision.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import random
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
-from .perm import Permutation, _relabel
+from .perm import (_MAX_BYTES_DEGREE, Permutation, _as_image, _identity_image,
+                   _inverse_operand, _lifted, _operand, _rebased, _relabel)
 
 
 class OrbitStructure:
@@ -104,11 +110,12 @@ class TransversalLevel:
 
     ``coset_reps`` maps each point q of the basic orbit to a representative
     r with base_point^r = q; the base point itself maps to the identity.
-    ``inverse_tables`` optionally maps q - 1 to ``r.inverse()._table()``, as
-    the chain builder already has them; they are computed when omitted.
+    ``inverse_tables`` optionally maps q - 1 to ``r.inverse()._table()``;
+    when omitted they are computed from the representatives on first use,
+    so a chain that is only counted never computes them.
     """
 
-    __slots__ = ("base_point", "coset_reps", "level_generators", "_inv0")
+    __slots__ = ("base_point", "coset_reps", "level_generators", "_inv")
 
     def __init__(self, base_point: int, coset_reps: dict[int, Permutation],
                  level_generators: Sequence[Permutation] = (),
@@ -121,10 +128,15 @@ class TransversalLevel:
         self.base_point = base_point
         self.coset_reps = dict(coset_reps)
         self.level_generators = tuple(level_generators)
+        self._inv = inverse_tables
+
+    @property
+    def _inv0(self) -> dict[int, object]:
         # 0-based image -> inverse representative's table, for the sift hot path
-        if inverse_tables is None:
-            inverse_tables = {q - 1: r.inverse()._table() for q, r in coset_reps.items()}
-        self._inv0 = inverse_tables
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = {q - 1: _inverse_operand(r._img) for q, r in self.coset_reps.items()}
+        return inv
 
     def __repr__(self) -> str:
         return f"TransversalLevel(base_point={self.base_point}, orbit_size={len(self.coset_reps)})"
@@ -134,7 +146,7 @@ class StabilizerChain:
     """A complete stabilizer chain: base, transversals, strong generators
     and the group order."""
 
-    __slots__ = ("degree", "levels", "strong_generators", "order")
+    __slots__ = ("degree", "levels", "strong_generators", "order", "_plan")
 
     def __init__(self, degree: int, levels: Sequence[TransversalLevel],
                  strong_generators: Sequence[Permutation]):
@@ -145,6 +157,14 @@ class StabilizerChain:
         for level in self.levels:
             order *= len(level.coset_reps)
         self.order = order
+        self._plan = None
+
+    def _sift_plan(self) -> list[tuple[int, dict[int, object]]]:
+        # each level's 0-based base point and inverse tables, for sift
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = [(level.base_point - 1, level._inv0) for level in self.levels]
+        return plan
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -155,23 +175,26 @@ class StabilizerChain:
 
 
 class _Node:
-    # builder-internal level for one prescribed candidate point
-    __slots__ = ("p0", "gens", "reps", "srep", "inv", "pts",
+    # builder-internal level for one candidate position, in the sweep's
+    # coordinates (see build_chain): its images are those of positions
+    # lo..m-1, rebased so that position lo is index 0, and base is its own
+    # position there
+    __slots__ = ("lo", "gens", "tbls", "reps", "srep", "inv", "pts",
                  "checked_pts", "checked_gens", "exp_pts", "exp_gens")
 
-    def __init__(self, p0: int):
-        self.p0 = p0                      # 0-based point
-        self.gens: list[Permutation] = []
-        self.reps: dict[int, Permutation] = {}   # 0-based point -> rep
-        # 0-based point -> the image of sigma * rep (see build_chain)
-        self.srep: dict[int, object] = {}
-        # 0-based point -> the inverse rep's _table(), the right operand
-        # of the raw product
-        self.inv: dict[int, object] = {}
-        self.pts: list[int] = []          # orbit points in discovery order
+    def __init__(self, lo: int, base: int, identity: Permutation, ident, ident_tbl):
+        self.lo = lo
+        self.gens: list[Permutation] = []  # level generators, in the original points
+        self.tbls: list[object] = []      # their operands here, in step with gens
+        # orbit point (a rebased position) -> its representative, its image
+        # here, and the inverse's operand here
+        self.reps: dict[int, Permutation] = {base: identity}
+        self.srep: dict[int, object] = {base: ident}
+        self.inv: dict[int, object] = {base: ident_tbl}
+        self.pts = [base]                 # orbit points in discovery order
         self.checked_pts = 0              # Schreier pairs (p, s) verified for
         self.checked_gens = 0             # p_idx < checked_pts and s_idx < checked_gens
-        self.exp_pts = 0                  # orbit expansion frontier: pairs with
+        self.exp_pts = 1                  # orbit expansion frontier: pairs with
         self.exp_gens = 0                 # p_idx < exp_pts, g_idx < exp_gens done
 
 
@@ -197,14 +220,36 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     of the group; ``ValueError`` names an out-of-range candidate, or the
     smallest moved point outside the candidates.
 
-    The sweep reads images in candidate order: with sigma the permutation
-    listing the candidates first and then the other points, it carries
-    sigma * g in place of g, whose position i is the image of candidate i.
-    The next candidate g moves is the first position where that image
-    differs from sigma's own, found by slice comparisons, so sifting
-    composes only at moved candidates and skips the fixed ones in C.  A
-    residue x is mapped back from sigma * x only when it joins the strong
-    generators; the published chain is in the original points.
+    The sweep runs on candidate positions.  With sigma sending candidate i
+    to position i and the other points after the m candidates, it carries
+    each element x as c(x) = sigma^-1 * x * sigma, restricted to positions
+    0..m-1: position i goes to position j when x sends candidate i to
+    candidate j.  The cover check, run on the whole c(x) of each input
+    generator, proves that positions m and above are fixed by every
+    element, so the restriction loses nothing.  Level t's base point is
+    position t, and the next candidate an element moves is the first
+    position where c(x) differs from the identity, found by slice
+    comparisons, so sifting composes only at moved candidates and skips
+    the fixed ones in C.
+
+    Let t0 = max(0, m - 256).  Every element the sweep handles at a level
+    t >= t0 fixes the positions below t.  A generator or residue joins the
+    levels up to the first position it moves, so each level's generators,
+    and the representatives built from them, fix the earlier positions.
+    A Schreier generator of level t also fixes position t, and each step of
+    its strip from t + 1 keeps the positions it has passed fixed.  So from
+    level t0 on an element is its suffix on positions t0..m-1, rebased to
+    0..m-t0-1: a permutation of at most 256 indices that ``perm`` stores
+    as ``bytes`` and composes with one ``bytes.translate``.  Levels below
+    t0 hold images of all m positions, and a strip rebases its siftee once,
+    with one C-level gather, when it passes t0.  Up to 256 candidates,
+    t0 = 0 and every level has the one form, whatever the degree.
+
+    The published chain is in the original points: each level's
+    representatives are built next to their sweep images, a residue is
+    mapped back only when it joins the strong generators, and each level
+    computes the inverse tables that :func:`sift` reads from its
+    representatives on the first sift.
     """
     gens = _dedup_generators(generators)
     for g in gens:
@@ -217,99 +262,123 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     chosen = set(candidates)
     if len(chosen) != len(candidates):
         raise ValueError("duplicate base candidates")
-    sigma = Permutation(candidates + [p for p in range(1, degree + 1) if p not in chosen])
-    sigma_inv = sigma.inverse()
-    sig = sigma._img
-    nnodes = len(candidates)
-    nodes = [_Node(c - 1) for c in candidates]
-    strong: list[Permutation] = []
+    m = len(candidates)
+    t0 = max(0, m - _MAX_BYTES_DEGREE)
+    k = m - t0
     identity = Permutation.identity(degree)
-    # the sweep runs on raw images with the degree's product, allocating a
-    # Permutation only for a residue that joins the strong generators
-    compose = Permutation._composer(degree)
+    compose_n = Permutation._composer(degree)
+    # sigma^-1 lists the candidates first, then the other points
+    rest = [p for p in range(1, degree + 1) if p not in chosen]
+    sigma_inv = Permutation._make(_as_image([p - 1 for p in candidates + rest]))
+    sigma = sigma_inv.inverse()
+    # levels below t0 hold images of all m positions, the others of the k
+    # positions from t0 on
+    ident_low, ident_high = _identity_image(m), _identity_image(k)
+    compose_low, compose_high = Permutation._composer(m), Permutation._composer(k)
+    low_tbl, high_tbl = _operand(ident_low), _operand(ident_high)
+    low = [_Node(0, t, identity, ident_low, low_tbl) for t in range(t0)]
+    high = [_Node(t0, u, identity, ident_high, high_tbl) for u in range(k)]
+    nodes = low + high
+    strong: list[Permutation] = []
 
-    def next_moved(v, t: int) -> int:
-        # the first candidate index >= t whose image v changes, else nnodes;
-        # the binary search keeps a differing position inside [t, hi)
-        hi = nnodes
-        if v[t:hi] == sig[t:hi]:
+    def next_moved(v, t: int, hi: int = k, ident=ident_high) -> int:
+        # the first index in [t, hi) where v differs from the identity, else
+        # hi; the binary search keeps a differing index inside [t, hi)
+        if v[t:hi] == ident[t:hi]:
             return hi
-        if v[t] != sig[t]:
+        if v[t] != t:
             return t
         while hi - t > 1:
             mid = (t + hi) >> 1
-            if v[t:mid] == sig[t:mid]:
+            if v[t:mid] == ident[t:mid]:
                 t = mid
             else:
                 hi = mid
         return t
 
-    def attach(g: Permutation, lo: int, hi: int) -> None:
-        # hi is the index of the first candidate g moves
-        for t in range(lo, hi + 1):
-            nodes[t].gens.append(g)
+    def attach(x: Permutation, c, lo: int, hi: int) -> None:
+        # x joins the strong generators and levels lo..hi, where c = c(x) on
+        # all m positions and hi is the first position it moves
+        strong.append(x)
+        if lo < t0:
+            tbl = _operand(c)
+            for node in low[lo:hi + 1]:
+                node.gens.append(x)
+                node.tbls.append(tbl)
+        if hi >= t0:
+            tbl = _operand(_rebased(c, t0) if t0 else c)
+            for node in high[max(lo - t0, 0):hi - t0 + 1]:
+                node.gens.append(x)
+                node.tbls.append(tbl)
 
-    def extend_orbit(node: _Node) -> None:
+    def extend_orbit(t: int) -> None:
         # grow the basic orbit in place; discovery order is stable so the
         # checked-pair and expansion bookkeeping stays valid
-        reps = node.reps
-        srep = node.srep
-        inv = node.inv
-        pts = node.pts
-        if not reps:
-            reps[node.p0] = identity
-            srep[node.p0] = sig
-            inv[node.p0] = identity._table()
-            pts.append(node.p0)
-        gens_local = node.gens
+        node = nodes[t]
+        pts, gens_local = node.pts, node.gens
         ep, eg = node.exp_pts, node.exp_gens
         ngens = len(gens_local)
         if ep == len(pts) and eg == ngens:
             return
+        reps, srep, inv, tbls = node.reps, node.srep, node.inv, node.tbls
+        compose = compose_low if t < t0 else compose_high
         # old points with new generators, then every point from the old
         # frontier on (including ones appended just below) with all gens
         i = 0
         while i < len(pts):
             p = pts[i]
-            rp = reps[p]
             for gi in range(eg if i < ep else 0, ngens):
-                g = gens_local[gi]
-                q = g._img[p]
+                tb = tbls[gi]
+                q = tb[p]
                 if q not in reps:
-                    rq = rp * g
-                    reps[q] = rq
-                    srep[q] = compose(srep[p], g._table())
-                    inv[q] = rq.inverse()._table()
+                    reps[q] = Permutation._make(compose_n(reps[p]._img, gens_local[gi]._table()))
+                    img = srep[q] = compose(srep[p], tb)
+                    inv[q] = _inverse_operand(img)
                     pts.append(q)
             i += 1
         node.exp_pts = len(pts)
         node.exp_gens = ngens
 
     def strip(v, t: int) -> tuple[object, int]:
-        # v is sigma * x: position t holds the image of candidate t under x
-        while (t := next_moved(v, t)) < nnodes:
-            tbl = nodes[t].inv.get(v[t])
+        # v is c(x) in level t's form (t >= t0), for an x fixing the
+        # positions below t: sift it through levels t..m-1
+        u = t - t0
+        while (u := next_moved(v, u)) < k:
+            tbl = high[u].inv.get(v[u])
             if tbl is None:
                 break
-            v = compose(v, tbl)
-            t += 1
-        return v, t
+            v = compose_high(v, tbl)
+            u += 1
+        return v, u + t0
 
+    def strip_whole(v, s: int) -> tuple[object, int]:
+        # the same for an x that fixes positions 0..s-1, with s <= t0 and v
+        # on all m positions: rebased once, when x fixes every position
+        # below t0
+        while (s := next_moved(v, s, t0, ident_low)) < t0:
+            tbl = low[s].inv.get(v[s])
+            if tbl is None:
+                return v, s
+            v = compose_low(v, tbl)
+            s += 1
+        return strip(_rebased(v, t0), t0)
+
+    to_point, to_position = sigma_inv._img, sigma._table()
     for g in gens:
-        v = compose(sig, g._table())
-        if v[nnodes:] != sig[nnodes:]:
+        c = compose_n(compose_n(to_point, g._table()), to_position)
+        if c[m:] != identity._img[m:]:
             p = min(set().union(*(h.support() for h in gens)) - chosen)
             raise ValueError(f"candidates do not cover moved point {p}")
-        strong.append(g)
-        attach(g, 0, next_moved(v, 0))
+        c = _as_image(c[:m])
+        attach(g, c, 0, next_moved(c, 0, m, ident_low))
 
     # verify levels bottom-up; on adding a residue at levels t+1..j, jump to
     # j and re-descend.  Only Schreier pairs not previously checked are
     # sifted, so the total work is bounded by the final orbit x gens counts.
-    t = nnodes - 1
+    t = m - 1
     while t >= 0:
         node = nodes[t]
-        extend_orbit(node)
+        extend_orbit(t)
         if len(node.pts) == 1:
             # singleton orbit: every level-t generator fixes the point, so
             # the level inherits completeness from level t+1
@@ -317,12 +386,10 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             node.checked_gens = len(node.gens)
             t -= 1
             continue
-        pts = node.pts
-        gens_local = node.gens
-        srep = node.srep
-        inv = node.inv
+        pts, tbls, srep, inv = node.pts, node.tbls, node.srep, node.inv
+        compose = compose_low if t < t0 else compose_high
         np, ng = node.checked_pts, node.checked_gens
-        npts, ngens = len(pts), len(gens_local)
+        npts, ngens = len(pts), len(tbls)
         # pairs not yet checked: new points with all gens, then old points
         # with new gens.  A residue joins levels t+1..j only, and after one
         # this level is visited again from its committed counters.
@@ -330,19 +397,21 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         pairs += [(p_i, g_i) for p_i in range(np) for g_i in range(ng, ngens)]
         for p_i, g_i in pairs:
             p = pts[p_i]
-            s = gens_local[g_i]
-            q = s._img[p]
-            prod = compose(srep[p], s._table())
+            tb = tbls[g_i]
+            q = tb[p]
+            prod = compose(srep[p], tb)
             if prod == srep[q]:  # every tree edge lands here
                 continue
-            res, j = strip(compose(prod, inv[q]), t + 1)
-            if j == nnodes:  # fixes every candidate, which cover the support
+            prod = compose(prod, inv[q])
+            res, j = strip_whole(prod, t + 1) if t < t0 else strip(prod, t + 1)
+            if j == m:  # fixes every candidate, which cover the support
                 continue
-            residue = sigma_inv * Permutation._make(res)
-            strong.append(residue)
-            attach(residue, t + 1, j)
+            # back to all m positions, then to the original points
+            c = _lifted(res, nodes[j].lo, m)
+            back = compose_n(sigma._img, _operand(_lifted(c, 0, degree)))
+            attach(Permutation._make(compose_n(back, sigma_inv._table())), c, t + 1, j)
             for l in range(t + 1, j + 1):
-                extend_orbit(nodes[l])
+                extend_orbit(l)
             t = j
             break
         else:
@@ -350,12 +419,16 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             node.checked_gens = ngens
             t -= 1
 
+    # the published chain is in the original points; each level computes
+    # its inverse tables from its representatives on the first sift
     levels = []
-    for node in nodes:
+    for t, node in enumerate(nodes):
         if len(node.pts) <= 1:
             continue
-        reps = {q + 1: r for q, r in node.reps.items()}
-        levels.append(TransversalLevel(node.p0 + 1, reps, tuple(node.gens), node.inv))
+        lo = node.lo
+        levels.append(TransversalLevel(candidates[t],
+                                       {candidates[lo + q]: r for q, r in node.reps.items()},
+                                       tuple(node.gens)))
     return StabilizerChain(degree, levels, strong)
 
 
@@ -384,14 +457,12 @@ def sift(chain: StabilizerChain, g: Permutation, start_level: int = 1) -> tuple[
         raise ValueError(f"start_level {start_level} out of range 1..{m + 1}")
     compose = Permutation._composer(chain.degree)
     img = g._img
-    for t in range(start_level - 1, m):
-        level = chain.levels[t]
-        b = level.base_point - 1
+    for t, (b, tables) in enumerate(chain._sift_plan()[start_level - 1:], start=start_level):
         q = img[b]
         if q != b:
-            tbl = level._inv0.get(q)
+            tbl = tables.get(q)
             if tbl is None:
-                return Permutation._make(img), t + 1
+                return Permutation._make(img), t
             img = compose(img, tbl)
     return Permutation._make(img), m + 1
 

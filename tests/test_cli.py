@@ -276,6 +276,19 @@ class TestUsageErrors:
         path.write_bytes(b"degree 3\ngen (1,2)\xff\n")
         self.assert_one_error_line(capsys, ["decompose", str(path)], "cannot read")
 
+    # only the writer's own digits are read: int() alone would take each of
+    # these as a degree or a point
+    @pytest.mark.parametrize("text, fragment", [
+        ("degree 1_0\ngen (1,2)\n", "bad degree '1_0'"),
+        ("degree +4\ngen (1,2)\n", "bad degree '+4'"),
+        ("degree \u0664\ngen (1,2)\n", "bad degree"),
+        ("degree 4\ngen (\u0661,\u0662)\n", "line 2: malformed cycle notation"),
+    ], ids=["underscore", "plus-sign", "arabic-indic-degree", "arabic-indic-points"])
+    def test_group_file_number_not_in_ascii_digits(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "digits.grp"
+        path.write_text(text, encoding="utf-8")
+        self.assert_one_error_line(capsys, ["decompose", str(path)], fragment)
+
     def test_group_file_without_degree_line(self, tmp_path, capsys):
         path = tmp_path / "nodeg.grp"
         path.write_text("# comments only\n\n")

@@ -349,10 +349,10 @@ def residue_dropping_build_chain():
     strong generators it drops each further residue, so the Schreier pair
     that produced it counts as checked and the chain can come out short."""
     source = textwrap.dedent(inspect.getsource(build_chain))
-    sound = "if j == nnodes:"
+    sound = "if j == m:"
     assert source.count(sound) == 1
     namespace = dict(vars(stabchain_module))
-    exec(source.replace(sound, "if j == nnodes or len(strong) > 3 * len(gens) / 2 + 2:"),
+    exec(source.replace(sound, "if j == m or len(strong) > 3 * len(gens) / 2 + 2:"),
          namespace)
     return namespace["build_chain"]
 

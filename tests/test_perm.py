@@ -156,7 +156,8 @@ class TestCycleNotation:
         assert parse_cycles(" ( 1 , 2 )\n(3,4) ", 4) == parse_cycles("(1,2)(3,4)", 4)
 
     @pytest.mark.parametrize("bad", ["", "(", "(1,2", "1,2", "(1)", "()(1,2)",
-                                     "(1,2)(2,3)", "(1,1,2)", "(0,1)", "(1,99)"])
+                                     "(1,2)(2,3)", "(1,1,2)", "(0,1)", "(1,99)",
+                                     "(\u0661,\u0662)", "(1,\uff12)"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(CycleFormatError):
             parse_cycles(bad, 12)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import random
 
 import pytest
@@ -279,6 +280,82 @@ def _chain_digest(chain):
         lines += (f"{q} {r}" for q, r in level.coset_reps.items())
         lines += (f"{q} {','.join(map(str, tbl))}" for q, tbl in level._inv0.items())
     return _sha(lines)
+
+
+def _padded(g, degree):
+    return Permutation([g.image(p) for p in range(1, g.degree + 1)] +
+                       list(range(g.degree + 1, degree + 1)))
+
+
+@functools.cache
+def _rebase_instance(m, mixed):
+    """Generators, degree, candidates (m of them) and true factor supports:
+    C2 s=2 r=64 padded to degree 257 on the candidates 1..257 (the one fixed
+    candidate comes last), C3 s=2 r=48 at degree 288 and C2 s=2 r=80 at
+    degree 320 on their orbits; mixed by 2 * |gens| seeded Nielsen moves."""
+    inner, r, degree = {257: ("C2", 64, 257), 288: ("C3", 48, 288), 320: ("C2", 80, 320)}[m]
+    group, partition = random_ddp_group(RandomInstanceSpec(by_name(inner), r, 2, seed=1))
+    structure = group.orbit_structure
+    gens = [_padded(g, degree) for g in group.generators]
+    if mixed:
+        gens = [Permutation(t) for t in
+                nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+    candidates = (list(range(1, degree + 1)) if degree > group.degree
+                  else orbit_ordered_candidates(structure))
+    cells = [sorted(p for j in cell for p in structure.orbit(j)) for cell in partition.cells]
+    return gens, degree, candidates, cells
+
+
+class TestAcrossTheRebasePoint:
+    """More than 256 candidates: levels below t0 = m - 256 carry images of
+    all m candidate positions, the later ones rebased suffixes (see
+    build_chain)."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    @pytest.mark.parametrize("m", [257, 288, 320])
+    def test_audit_and_the_product_of_the_true_factors(self, m, mixed):
+        gens, degree, candidates, cells = _rebase_instance(m, mixed)
+        assert len(candidates) == m
+        chain = build_chain(gens, degree, candidates)
+        assert audit_chain(chain, gens) is None
+        # each true factor on its own points, far below the rebase point
+        assert chain.order == math.prod(GroupHandle.on_points(gens, cell).order
+                                        for cell in cells)
+
+    # plain generators only: sympy takes seconds on the mixed ones
+    @pytest.mark.parametrize("m", [257, 288, 320])
+    def test_order_agrees_with_sympy(self, m):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens, degree, candidates, _ = _rebase_instance(m, False)
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation([g.image(p) - 1 for p in range(1, degree + 1)])
+             for g in gens])
+        assert build_chain(gens, degree, candidates).order == group.order()
+
+    # wide's D8 s=4 r=16 base group (degree 256, grid seed 2004_11618) with
+    # fixed points added: on its orbits there are 256 candidates at every
+    # degree, on 1..degree there are degree - 256 fixed ones after them
+    @pytest.mark.parametrize("on_orbits", [True, False], ids=["orbit-ordered", "1..n"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    @pytest.mark.parametrize("degree", [257, 300])
+    def test_padding_keeps_the_chain(self, degree, mixed, on_orbits):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), 16, 4, seed=2004_11618))
+        gens = list(group.generators)
+        if mixed:
+            gens = [Permutation(t) for t in
+                    nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+        candidates = orbit_ordered_candidates(group.orbit_structure) if on_orbits else None
+        chain = build_chain(gens, 256, candidates)
+        padded = build_chain([_padded(g, degree) for g in gens], degree, candidates)
+        assert padded.base == chain.base
+        assert list(padded.strong_generators) == [_padded(x, degree)
+                                                  for x in chain.strong_generators]
+        tail = list(range(256, degree))
+        for level, big in zip(chain.levels, padded.levels, strict=True):
+            assert list(big.coset_reps.items()) == [(q, _padded(u, degree))
+                                                    for q, u in level.coset_reps.items()]
+            assert [(q, list(tbl)) for q, tbl in big._inv0.items()] == \
+                [(q, list(tbl[:256]) + tail) for q, tbl in level._inv0.items()]
 
 
 def pinned_d10_chain(rep2):
