@@ -11,10 +11,21 @@ restricted to a union of orbits C is a subdirect product of its restrictions
 A = H|_T and B = H|_{C\\T} to the two halves, and a subdirect product of
 A x B equals A x B exactly when A x 1 is contained in it.  A x 1 is
 generated by the generators of H|_C restricted to T, so the split holds iff
-each of those restrictions sifts through an exact chain of H|_C.  Only the
-generators that move both sides need a sift, since the others restrict to
-themselves or to the identity.  A node builds its chain on its first sift,
-so a node whose generators each act inside one side costs no chain.  The
+each of those restrictions lies in H|_C.  Only the generators that move both
+sides need a test, since the others restrict to themselves or to the
+identity.
+
+A test sifts through the chain of one component, not of the whole node.
+The orbits of C that one input generator moves are linked, and the classes
+of these links are the node's components.  Each generator of H|_C acts
+inside one component, so H|_C is the direct product of the restrictions
+H|_K to its components K.  A generator g moving both sides acts inside one
+component K, so g|_T is supported in K, and it lies in H|_C exactly when it
+lies in H|_K.  H|_K depends on K alone, so one call builds each component's
+exact chain once, from the input generators that move K restricted to K,
+and every node and orbit pair with that component reuses it.  A node finds
+its components on its first membership test, so a node whose generators
+each act inside one side costs neither components nor a chain.  The
 pairs-first pass asks the same question of each two-orbit restriction whose
 orbits are not yet glued.
 :func:`verify_decomposition` keeps the order argument (the cell restriction
@@ -34,6 +45,7 @@ from .decompose import OrbitPartition
 from .perm import Permutation
 from .stabchain import (
     GroupHandle,
+    StabilizerChain,
     build_chain,
     is_member,
     random_element,
@@ -72,24 +84,53 @@ class RandomInstanceSpec:
             raise ValueError("r and s must be at least 1")
 
 
-def _node(handle: GroupHandle, moved, key: frozenset[int]):
+def _components(profile) -> dict[int, frozenset[int]]:
+    """Each orbit of a node's profile mapped to its component: the classes of
+    the union-find that joins the orbits each generator moves."""
+    component_of: dict[int, frozenset[int]] = {}
+    for _, orbits in profile:
+        merged = orbits.union(*(component_of[j] for j in orbits if j in component_of))
+        component_of.update(dict.fromkeys(merged, merged))
+    return component_of
+
+
+def _component_chain(handle: GroupHandle, moved,
+                     component: frozenset[int]) -> StabilizerChain:
+    """The exact chain of H|_K for the orbit set K = ``component``, at the
+    whole degree (the elements it tests keep the original points): the
+    handle's own chain when K is every orbit, else built from the input
+    generators that move K, restricted to K's points."""
+    structure = handle.orbit_structure
+    if len(component) == structure.k:
+        return handle.chain
+    support = sorted(p for j in component for p in structure.orbit(j))
+    return build_chain([g.restrict(support) for g, orbits in moved if orbits & component],
+                       handle.degree, support)
+
+
+def _node(handle: GroupHandle, moved, key: frozenset[int], chains: dict):
     """The restriction of the group to the orbit subset ``key``: the input
     generators that move it, each with the orbits of ``key`` it moves, and a
-    membership test whose exact chain is built on its first call (for every
-    orbit, the handle's own chain is read then), at the whole degree, as the
-    elements it tests keep the original points."""
-    profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
-    chain = None
+    membership test ``member(orbits, x)`` for an element x supported in the
+    component that contains ``orbits``.
 
-    def member(x: Permutation) -> bool:
-        nonlocal chain
+    The components are found on the first test.  A test sifts through the
+    exact chain of H|_K for its component K, which ``chains`` (one dict per
+    search, keyed by orbit set) builds on first use and shares with every
+    other node.  This is exact: the node group is the direct product of its
+    restrictions to its components, so an element supported in K lies in it
+    iff it lies in H|_K."""
+    profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
+    component_of = None
+
+    def member(orbits: frozenset[int], x: Permutation) -> bool:
+        nonlocal component_of
+        if component_of is None:
+            component_of = _components(profile)
+        component = component_of[next(iter(orbits))]
+        chain = chains.get(component)
         if chain is None:
-            if len(key) == handle.orbit_structure.k:
-                chain = handle.chain
-            else:
-                support = sorted(p for j in key for p in handle.orbit_structure.orbit(j))
-                chain = build_chain([g.restrict(support) for g, _ in profile],
-                                    handle.degree, support)
+            chain = chains[component] = _component_chain(handle, moved, component)
         return is_member(chain, x)
     return profile, member
 
@@ -99,8 +140,41 @@ def _splits(profile, member, left: frozenset[int], structure) -> bool:
     the orbits in ``left``: every generator moving orbits on both sides,
     restricted to T (a union of orbits, so invariant), lies in H|_C."""
     left_support = [p for j in left for p in structure.orbit(j)]
-    return all(member(g.restrict(left_support)) for g, orbits in profile
+    return all(member(orbits, g.restrict(left_support)) for g, orbits in profile
                if not orbits <= left and orbits & left)
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise ComputationTimeout("brute-force decomposition timed out")
+
+
+def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, chains: dict,
+           deadline: float | None) -> list[tuple[int, ...]]:
+    """The finest cells of the union of the units in ``current``: the first
+    valid bipartition of the units, in order of increasing smaller side,
+    with each side split again."""
+    indices = tuple(sorted(x for unit in current for x in unit))
+    if len(current) == 1:
+        return [indices]
+    # one node per recursion step; a component chain is read only when a
+    # candidate bipartition leaves a generator moving both halves
+    profile, member = _node(handle, moved, frozenset(indices), chains)
+    for size in range(1, len(current) // 2 + 1):
+        for chosen in combinations(range(len(current)), size):
+            _check_deadline(deadline)
+            # unordered bipartitions: when halves have equal unit
+            # counts, pin unit 0 to the chosen side
+            if 2 * size == len(current) and chosen[0] != 0:
+                continue
+            left = frozenset(j for idx in chosen for j in current[idx])
+            if _splits(profile, member, left, handle.orbit_structure):
+                chosen_set = set(chosen)
+                picked = tuple(current[idx] for idx in chosen)
+                rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)
+                return (_split(picked, handle, moved, chains, deadline)
+                        + _split(rest, handle, moved, chains, deadline))
+    return [indices]
 
 
 def verify_decomposition(handle: GroupHandle, partition: OrbitPartition) -> bool:
@@ -138,10 +212,9 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
     # move it, and a split test sifts only those moving both sides
     moved = [(g, frozenset(structure.orbit_of_point(p + 1) for p, q in enumerate(g._img)
                            if p != q)) for g in handle.generators]
-
-    def check_deadline() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise ComputationTimeout("brute-force decomposition timed out")
+    # the component chains of this search, shared by the pairs pass and the
+    # recursion; nothing outlives the call
+    chains: dict[frozenset[int], StabilizerChain] = {}
 
     # every orbit starts as a unit of its own; the pairs pass tests each pair
     # of orbits in different units and glues the units of a pair whose
@@ -151,35 +224,13 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
         for a, b in combinations(range(1, k + 1), 2):
             if b in unit_of[a]:
                 continue
-            check_deadline()
-            if not _splits(*_node(handle, moved, frozenset((a, b))), frozenset((a,)), structure):
+            _check_deadline(deadline)
+            if not _splits(*_node(handle, moved, frozenset((a, b)), chains),
+                           frozenset((a,)), structure):
                 glued = tuple(sorted({*unit_of[a], *unit_of[b]}))
                 unit_of.update(dict.fromkeys(glued, glued))
     units = sorted(set(unit_of.values()))
-
-    def split(current: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-        indices = tuple(sorted(x for unit in current for x in unit))
-        if len(current) == 1:
-            return [indices]
-        # one node per recursion step; its exact chain is built only when a
-        # candidate bipartition leaves a generator moving both halves
-        profile, member = _node(handle, moved, frozenset(indices))
-        for size in range(1, len(current) // 2 + 1):
-            for chosen in combinations(range(len(current)), size):
-                check_deadline()
-                # unordered bipartitions: when halves have equal unit
-                # counts, pin unit 0 to the chosen side
-                if 2 * size == len(current) and chosen[0] != 0:
-                    continue
-                left = frozenset(j for idx in chosen for j in current[idx])
-                if _splits(profile, member, left, structure):
-                    chosen_set = set(chosen)
-                    picked = tuple(current[idx] for idx in chosen)
-                    rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)
-                    return split(picked) + split(rest)
-        return [indices]
-
-    return OrbitPartition(split(tuple(units)))
+    return OrbitPartition(_split(tuple(units), handle, moved, chains, deadline))
 
 
 def is_ddp_indecomposable(handle: GroupHandle) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import time
@@ -83,6 +84,28 @@ def audited_chains(monkeypatch):
     return audited
 
 
+@pytest.fixture
+def built_chains(monkeypatch):
+    """The point set of every chain built through the oracle's or the
+    stabchain module's ``build_chain``, in build order.  A test clears it
+    once its instance is generated."""
+    built = []
+    for module in (oracle_module, stabchain_module):
+        build = module.build_chain
+
+        def recording(gens, degree, candidates=None, build=build):
+            built.append(frozenset(range(1, degree + 1) if candidates is None else candidates))
+            return build(gens, degree, candidates)
+
+        monkeypatch.setattr(module, "build_chain", recording)
+    return built
+
+
+def cell_points(handle, partition):
+    return {frozenset(p for j in cell for p in handle.orbit_structure.orbit(j))
+            for cell in partition.cells}
+
+
 PAIRS_FIRST_INSTANCES = [(dihedral(8), 2, 2, 1), (dihedral(8), 2, 2, 2), (dihedral(8), 2, 2, 3),
                          (cyclic(2), 2, 4, 2), (alternating(4), 2, 3, 1), (symmetric(4), 2, 3, 2),
                          (dihedral(8), 1, 4, 1)]
@@ -144,49 +167,72 @@ class TestBruteForce:
         with pytest.raises(ComputationTimeout):
             brute_force_decompose(H, cap=40, pairs_first=True, deadline=0.0)
 
-    def test_unlinked_pairs_build_no_chain(self, monkeypatch):
+    def test_unlinked_pairs_build_no_chain(self, built_chains):
         H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 4, 3, seed=1))
+        built_chains.clear()
         structure = H.orbit_structure
-        chains = []
-        build_chain = oracle_module.build_chain
-
-        def recording(gens, degree, candidates=None):
-            chains.append(frozenset(candidates))
-            return build_chain(gens, degree, candidates)
-
-        monkeypatch.setattr(oracle_module, "build_chain", recording)
         assert brute_force_decompose(H, pairs_first=True) == expected
         linked = [{structure.orbit_of_point(p) for p in range(1, H.degree + 1)
                    if g.image(p) != p} for g in H.generators]
         # a chain is built only where some generator moves two of its orbits
-        for points in chains:
+        for points in built_chains:
             inside = {structure.orbit_of_point(p) for p in points}
             assert any(len(orbits & inside) >= 2 for orbits in linked)
         # 66 pairs and the recursion nodes, most of them linked by no generator
-        assert len(chains) <= 12
+        assert len(built_chains) <= 12
         assert brute_force_decompose(H, pairs_first=False) == expected
 
-    def test_plain_instance_builds_no_whole_group_chain(self, monkeypatch):
+    def test_plain_instance_builds_no_whole_group_chain(self, built_chains):
         # each generator acts inside one factor, so the first bipartition
         # that cuts between factors splits without a sift
         H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 4, 3, seed=1))
-        covered = []
-        for module in (oracle_module, stabchain_module):
-            build = module.build_chain
-
-            def recording(gens, degree, candidates=None, build=build):
-                covered.append(len(candidates))
-                return build(gens, degree, candidates)
-
-            monkeypatch.setattr(module, "build_chain", recording)
+        built_chains.clear()
         assert brute_force_decompose(H, pairs_first=True) == expected
-        assert covered and max(covered) < H.degree
+        assert built_chains and max(map(len, built_chains)) < H.degree
 
-    def test_mixed_generators(self, audited_chains):
+    def test_plain_search_builds_each_cell_chain_once(self, built_chains):
+        # each generator acts inside one true cell, so every component the
+        # search sifts through is one cell, and one call builds each cell's
+        # chain once for all the nodes inside it
+        H, expected = random_ddp_group(RandomInstanceSpec(alternating(4), 8, 4, seed=1))
+        built_chains.clear()
+        assert brute_force_decompose(H, cap=40) == expected
+        cells = cell_points(H, expected)
+        assert all(len(cell) == 16 for cell in cells)
+        assert len(built_chains) == 8 and set(built_chains) == cells
+
+    def test_chains_stay_inside_one_cell(self, built_chains):
+        # the oracle benchmark's D8 s=4 r=8 base group: a node spanning
+        # several cells sifts through the chain of one cell, never its own
+        H, expected = random_ddp_group(RandomInstanceSpec(by_name("D8"), 8, 4,
+                                                          seed=2004_11618 + 2))
+        built_chains.clear()
+        assert brute_force_decompose(H, cap=40, pairs_first=True) == expected
+        cells = cell_points(H, expected)
+        assert built_chains
+        assert all(any(points <= cell for cell in cells) for points in built_chains)
+
+    @pytest.mark.parametrize("pairs_first", [False, True])
+    def test_search_leaves_no_reference_cycle(self, pairs_first):
+        # nodes and chains are freed by reference counting when the call
+        # returns, not held until the next cyclic collection
+        H, expected = random_ddp_group(RandomInstanceSpec(dihedral(8), 4, 4, seed=1))
+        gc.collect()
+        gc.disable()
+        try:
+            assert brute_force_decompose(H, cap=40, pairs_first=pairs_first) == expected
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_mixed_generators(self, audited_chains, built_chains):
         # Nielsen moves make most generators act on several factors, so most
-        # pairs and nodes need a chain; every answer must stay the truth
+        # pairs and nodes need a chain; every answer must stay the truth, and
+        # one call builds each component's chain at most once
         rng = random.Random(2004)
-        for inner, r, s, seed in PAIRS_FIRST_INSTANCES:
+        # three one-orbit cells: the recursion reaches the two-orbit node
+        # {2, 3}, whose component the pairs pass has sifted through already
+        for inner, r, s, seed in PAIRS_FIRST_INSTANCES + [(cyclic(3), 3, 1, 1)]:
             H, expected = random_ddp_group(RandomInstanceSpec(inner, r, s, seed))
             gens = [Permutation(t) for t in
                     nielsen_mix([tab(g) for g in H.generators], rng, 2 * len(H.generators))]
@@ -197,8 +243,10 @@ class TestBruteForce:
             assert r == 1 or any(len({cell_of[M.orbit_structure.orbit_of_point(p)]
                                       for p in range(1, H.degree + 1) if g.image(p) != p}) > 1
                                  for g in gens)
-            assert brute_force_decompose(M, pairs_first=True) == expected
-            assert brute_force_decompose(M, pairs_first=False) == expected
+            for pairs_first in (True, False):
+                built_chains.clear()
+                assert brute_force_decompose(M, pairs_first=pairs_first) == expected
+                assert len(set(built_chains)) == len(built_chains)
             assert decompose(gens, H.degree).partition == expected
         assert audited_chains
 
