@@ -62,9 +62,25 @@ def _operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
 def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[bytes | tuple[int, ...]]:
     """Raw images of ``perms`` on the invariant points ``points`` (1-based),
     relabelled so that ``points[i]`` becomes i: permutations of degree
-    ``len(points)``, stored as that degree dictates."""
+    ``len(points)``, stored as that degree dictates.  ``ValueError`` names
+    a point when ``points`` does not ascend strictly within 1..degree, or
+    when a permutation maps it outside ``points``."""
+    for prev, p in zip(points, points[1:]):
+        if p <= prev:
+            raise ValueError(f"points not strictly ascending: {p} after {prev}")
     local = {p - 1: i for i, p in enumerate(points)}
-    return [_as_image([local[g._img[p - 1]] for p in points]) for g in perms]
+    out = []
+    for g in perms:
+        img = g._img
+        if points and not 1 <= points[0] <= points[-1] <= len(img):
+            bad = next(p for p in points if not 1 <= p <= len(img))
+            raise ValueError(f"point {bad} out of range 1..{len(img)}")
+        row = [local.get(img[p - 1]) for p in points]
+        if None in row:
+            p = points[row.index(None)]
+            raise ValueError(f"point set not invariant: {p} maps to {img[p - 1] + 1}")
+        out.append(_as_image(row))
+    return out
 
 
 @cache

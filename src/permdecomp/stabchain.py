@@ -110,16 +110,15 @@ class TransversalLevel:
 
     ``coset_reps`` maps each point q of the basic orbit to a representative
     r with base_point^r = q; the base point itself maps to the identity.
-    ``inverse_tables`` optionally maps q - 1 to ``r.inverse()._table()``;
-    when omitted they are computed from the representatives on first use,
-    so a chain that is only counted never computes them.
+    The inverse tables that :func:`sift` reads (q - 1 to
+    ``r.inverse()._table()``) are computed from the representatives on
+    first use, so a chain that is only counted never computes them.
     """
 
     __slots__ = ("base_point", "coset_reps", "level_generators", "_inv")
 
     def __init__(self, base_point: int, coset_reps: dict[int, Permutation],
-                 level_generators: Sequence[Permutation] = (),
-                 inverse_tables: dict[int, object] | None = None):
+                 level_generators: Sequence[Permutation] = ()):
         if coset_reps.get(base_point) is None or not coset_reps[base_point].is_identity():
             raise ValueError("coset_reps must map the base point to the identity")
         for q, r in coset_reps.items():
@@ -128,7 +127,7 @@ class TransversalLevel:
         self.base_point = base_point
         self.coset_reps = dict(coset_reps)
         self.level_generators = tuple(level_generators)
-        self._inv = inverse_tables
+        self._inv = None
 
     @property
     def _inv0(self) -> dict[int, object]:
@@ -180,7 +179,7 @@ class _Node:
     # lo..m-1, rebased so that position lo is index 0, and base is its own
     # position there
     __slots__ = ("lo", "gens", "tbls", "reps", "srep", "inv", "pts",
-                 "checked_pts", "checked_gens", "exp_pts", "exp_gens")
+                 "exp_pts", "exp_gens", "pending")
 
     def __init__(self, lo: int, base: int, identity: Permutation, ident, ident_tbl):
         self.lo = lo
@@ -192,10 +191,9 @@ class _Node:
         self.srep: dict[int, object] = {base: ident}
         self.inv: dict[int, object] = {base: ident_tbl}
         self.pts = [base]                 # orbit points in discovery order
-        self.checked_pts = 0              # Schreier pairs (p, s) verified for
-        self.checked_gens = 0             # p_idx < checked_pts and s_idx < checked_gens
-        self.exp_pts = 1                  # orbit expansion frontier: pairs with
+        self.exp_pts = 0                  # orbit expansion frontier: pairs with
         self.exp_gens = 0                 # p_idx < exp_pts, g_idx < exp_gens done
+        self.pending: list = []           # Schreier pairs (point, operand) to verify
 
 
 def _dedup_generators(generators: Iterable[Permutation]) -> list[Permutation]:
@@ -312,8 +310,10 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 node.tbls.append(tbl)
 
     def extend_orbit(t: int) -> None:
-        # grow the basic orbit in place; discovery order is stable so the
-        # checked-pair and expansion bookkeeping stays valid
+        # grow the basic orbit in place (discovery order is stable, so the
+        # frontier stays valid) and queue its new Schreier pairs.  A
+        # singleton orbit queues none: its generators fix the point and join
+        # level t+1 too, so the level inherits completeness from level t+1
         node = nodes[t]
         pts, gens_local = node.pts, node.gens
         ep, eg = node.exp_pts, node.exp_gens
@@ -338,11 +338,24 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             i += 1
         node.exp_pts = len(pts)
         node.exp_gens = ngens
+        if len(pts) > 1:  # new points with all gens, then old ones with new gens
+            node.pending = ([(p, tb) for p in pts[ep:] for tb in tbls]
+                            + [(p, tb) for p in pts[:ep] for tb in tbls[eg:]])
 
     def strip(v, t: int) -> tuple[object, int]:
-        # v is c(x) in level t's form (t >= t0), for an x fixing the
-        # positions below t: sift it through levels t..m-1
-        u = t - t0
+        # sift v = c(x), in level t's form, through levels t+1..m-1, for an
+        # x fixing positions 0..t.  Below t0, v holds all m positions and is
+        # rebased once, when x fixes every position below t0
+        s = t + 1
+        if t < t0:
+            while (s := next_moved(v, s, t0, ident_low)) < t0:
+                tbl = low[s].inv.get(v[s])
+                if tbl is None:
+                    return v, s
+                v = compose_low(v, tbl)
+                s += 1
+            v = _rebased(v, t0)
+        u = s - t0
         while (u := next_moved(v, u)) < k:
             tbl = high[u].inv.get(v[u])
             if tbl is None:
@@ -350,18 +363,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             v = compose_high(v, tbl)
             u += 1
         return v, u + t0
-
-    def strip_whole(v, s: int) -> tuple[object, int]:
-        # the same for an x that fixes positions 0..s-1, with s <= t0 and v
-        # on all m positions: rebased once, when x fixes every position
-        # below t0
-        while (s := next_moved(v, s, t0, ident_low)) < t0:
-            tbl = low[s].inv.get(v[s])
-            if tbl is None:
-                return v, s
-            v = compose_low(v, tbl)
-            s += 1
-        return strip(_rebased(v, t0), t0)
 
     to_point, to_position = sigma_inv._img, sigma._table()
     for g in gens:
@@ -372,51 +373,44 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         c = _as_image(c[:m])
         attach(g, c, 0, next_moved(c, 0, m, ident_low))
 
-    # verify levels bottom-up; on adding a residue at levels t+1..j, jump to
-    # j and re-descend.  Only Schreier pairs not previously checked are
-    # sifted, so the total work is bounded by the final orbit x gens counts.
+    # verify levels bottom-up.  A level with no pending pairs is extended
+    # first.  When a pair of level t yields a residue, the residue joins
+    # levels t+1..j, level t keeps its pending pairs from that pair on, and
+    # the sweep jumps to j and re-descends.  Each pair is verified once;
+    # checking a verified pair again could add nothing, because
+    # - when level t is processed, every level after it is complete;
+    # - a residue found at t joins only levels t+1..j, so t's generators
+    #   and orbit do not change while its pairs wait, and the levels
+    #   re-descended get no other new generators before they are processed;
+    # - an orbit point keeps its representative and inverse table once it
+    #   is added, so a pair that sifted to the identity would take the same
+    #   path again and add nothing;
+    # - the pair that produced the residue is not verified yet: it is
+    #   checked again on resume, through the levels the residue joined.
     t = m - 1
     while t >= 0:
         node = nodes[t]
-        extend_orbit(t)
-        if len(node.pts) == 1:
-            # singleton orbit: every level-t generator fixes the point, so
-            # the level inherits completeness from level t+1
-            node.checked_pts = 1
-            node.checked_gens = len(node.gens)
-            t -= 1
-            continue
-        pts, tbls, srep, inv = node.pts, node.tbls, node.srep, node.inv
+        if not node.pending:
+            extend_orbit(t)
+        pending, srep, inv = node.pending, node.srep, node.inv
         compose = compose_low if t < t0 else compose_high
-        np, ng = node.checked_pts, node.checked_gens
-        npts, ngens = len(pts), len(tbls)
-        # pairs not yet checked: new points with all gens, then old points
-        # with new gens.  A residue joins levels t+1..j only, and after one
-        # this level is visited again from its committed counters.
-        pairs = [(p_i, g_i) for p_i in range(np, npts) for g_i in range(ngens)]
-        pairs += [(p_i, g_i) for p_i in range(np) for g_i in range(ng, ngens)]
-        for p_i, g_i in pairs:
-            p = pts[p_i]
-            tb = tbls[g_i]
+        for i, (p, tb) in enumerate(pending):
             q = tb[p]
             prod = compose(srep[p], tb)
             if prod == srep[q]:  # every tree edge lands here
                 continue
-            prod = compose(prod, inv[q])
-            res, j = strip_whole(prod, t + 1) if t < t0 else strip(prod, t + 1)
+            res, j = strip(compose(prod, inv[q]), t)
             if j == m:  # fixes every candidate, which cover the support
                 continue
             # back to all m positions, then to the original points
             c = _lifted(res, nodes[j].lo, m)
             back = compose_n(sigma._img, _operand(_lifted(c, 0, degree)))
             attach(Permutation._make(compose_n(back, sigma_inv._table())), c, t + 1, j)
-            for l in range(t + 1, j + 1):
-                extend_orbit(l)
+            node.pending = pending[i:]
             t = j
             break
         else:
-            node.checked_pts = npts
-            node.checked_gens = ngens
+            node.pending = []
             t -= 1
 
     # the published chain is in the original points; each level computes
@@ -602,8 +596,10 @@ class GroupHandle:
 
     @classmethod
     def on_points(cls, generators: Sequence[Permutation], points: Sequence[int]) -> "GroupHandle":
-        """The group the generators induce on the invariant, ascending point
-        set ``points``, relabelled so that local point i is ``points[i - 1]``."""
+        """The group the generators induce on the invariant, strictly
+        ascending point set ``points``, relabelled so that local point i is
+        ``points[i - 1]``.  ``ValueError`` names a point out of order, out
+        of range 1..degree, or mapped outside ``points``."""
         return cls.from_generators(list(map(Permutation._make, _relabel(generators, points))),
                                    len(points))
 

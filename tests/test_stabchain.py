@@ -2,6 +2,8 @@ import functools
 import hashlib
 import math
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -482,13 +484,15 @@ class TestPointwiseStabilizerLevel:
 
 
 def _replace_level(chain, t, coset_reps=None, level_generators=None, inverse_tables=None):
-    # the chain with level t rebuilt from the given parts, the rest kept
+    # the chain with level t rebuilt from the given parts, the rest kept;
+    # inverse tables are planted in place of the ones the level computes
     level = chain.levels[t - 1]
     levels = list(chain.levels)
     levels[t - 1] = TransversalLevel(
         level.base_point, level.coset_reps if coset_reps is None else coset_reps,
-        level.level_generators if level_generators is None else level_generators,
-        inverse_tables)
+        level.level_generators if level_generators is None else level_generators)
+    if inverse_tables is not None:
+        levels[t - 1]._inv = inverse_tables
     return StabilizerChain(chain.degree, levels, chain.strong_generators)
 
 
@@ -667,3 +671,55 @@ class TestLazyChain:
         calls = _count_builds(monkeypatch)
         handle.chain
         assert calls == [orbit_ordered_candidates(handle.orbit_structure)]
+
+
+def _strips(gens, degree, candidates):
+    """The chain ``build_chain`` returns, and how many times its sweep's
+    ``strip`` closure ran, counted by a profile hook."""
+    code = next(c for c in build_chain.__code__.co_consts if getattr(c, "co_name", "") == "strip")
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        chain = build_chain(gens, degree, candidates)
+    finally:
+        sys.setprofile(None)
+    return chain, calls
+
+
+class TestSchreierPairs:
+    # wide's D8 s=4 r=16 base group (degree 256, grid seed 2004_11618) and
+    # CI's D8 r=17 s=4 seed-1 group (degree 272, so t0 = 16).  Each pair of
+    # a final level is stripped once, and once more after each residue it
+    # yields; a residue adds a point to the orbit of the last level it
+    # joins, and that point's tree edge is never stripped
+    @pytest.mark.parametrize("r, seed", [(16, 2004_11618), (17, 1)],
+                             ids=["wide-degree-256", "ci-degree-272"])
+    def test_each_pair_is_verified_once(self, r, seed):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 4, seed=seed))
+        chain, strips = _strips(group.generators, group.degree,
+                                orbit_ordered_candidates(group.orbit_structure))
+        assert chain.order == group.order
+        assert strips <= sum(len(level.coset_reps) * len(level.level_generators)
+                             for level in chain.levels)
+
+
+class TestOnPoints:
+    # unchecked, [0, 1, 4] and [1, 4, 4] relabel (1,4) into a non-bijective
+    # "permutation" whose cycles never end, and [1, 4, 5] and [1, 3] index
+    # past the image or outside the relabelling
+    @pytest.mark.parametrize("cycle, points, message", [
+        ("(1,4)", [0, 1, 4], "point 0 out of range 1..4"),
+        ("(1,4)", [1, 4, 4], "points not strictly ascending: 4 after 4"),
+        ("(1,4)", [1, 4, 5], "point 5 out of range 1..4"),
+        ("(1,4)", [4, 1], "points not strictly ascending: 1 after 4"),
+        ("(1,2)", [1, 3], "point set not invariant: 1 maps to 2"),
+    ], ids=["zero", "repeated", "above-degree", "descending", "not-invariant"])
+    def test_bad_points_raise(self, cycle, points, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupHandle.on_points([parse_cycles(cycle, 4)], points)
