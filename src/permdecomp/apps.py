@@ -33,7 +33,7 @@ from math import prod
 from statistics import median
 from typing import Sequence
 
-from .decompose import DecompositionResult, decompose_handle
+from .decompose import DecompositionResult, InvariantViolation, decompose_handle
 from .oracle import (
     DEFAULT_ORBIT_CAP,
     ComputationTimeout,
@@ -231,6 +231,8 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
     brute-force baseline (as ``whole``) against the fast decomposition and
     has no ``per_factor`` column.  Instances are derived deterministically
     from ``spec.seed``; timeouts and cap hits are counted as incomplete.
+    A decomposition that differs from an instance's ground truth raises
+    :class:`InvariantViolation`: a wrong answer gets no timing row.
     """
     if task not in ("derived", "classes", "decompose"):
         raise ValueError(f"unknown task {task!r}")
@@ -238,11 +240,14 @@ def run_benchmark(spec: RandomInstanceSpec, task: str, repetitions: int,
     for rep in range(repetitions):
         inst_spec = RandomInstanceSpec(spec.inner_group, spec.r, spec.s,
                                        seed=spec.seed * 100_003 + rep)
-        handle, _expected = random_ddp_group(inst_spec)
+        handle, expected = random_ddp_group(inst_spec)
 
         start = time.perf_counter()
         result = decompose_handle(handle)
         decomposition.append((time.perf_counter() - start, True))
+        if result.partition != expected:
+            raise InvariantViolation(f"decomposition {result.partition} of seed "
+                                     f"{inst_spec.seed} is not the ground truth {expected}")
 
         if task == "decompose":
             whole.append(_timed(

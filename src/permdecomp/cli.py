@@ -5,9 +5,10 @@ baseline), ``randgen`` (random instance files with a ground-truth sidecar),
 ``verify`` (compare two decomposition documents) and ``bench`` (timing
 tables).
 
-Exit codes are part of the contract: 0 ok, 1 parse error (a malformed file
-or an out-of-range flag value), 2 internal invariant breach, 3 orbit cap
-exceeded, 4 retry budget exhausted, 5 decompositions not equivalent.
+Exit codes are part of the contract: 0 ok, 1 parse error (a malformed file,
+such as one whose degree exceeds 10,000,000, or an out-of-range flag value)
+or out of memory, 2 internal invariant breach, 3 orbit cap exceeded, 4 retry
+budget exhausted, 5 decompositions not equivalent.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .oracle import (
     brute_force_decompose,
     random_ddp_group,
 )
-from .perm import CycleFormatError
 from .stabchain import GroupHandle
 
 EXIT_OK = 0
@@ -243,8 +243,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (GroupFileError, CycleFormatError, UsageError) as exc:
+    except (GroupFileError, UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_PARSE
     except InvariantViolation as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")

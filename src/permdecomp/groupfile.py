@@ -11,6 +11,10 @@ Group file grammar (UTF-8, LF or CRLF input, LF output)::
 Decomposition documents are JSON objects with stable key order; group
 orders are serialized as decimal strings so consumers need not assume any
 integer width.
+
+A group file or document whose degree exceeds ``_MAX_DEGREE`` (10,000,000)
+is malformed, and a group file's is rejected before any permutation is
+built: each generator becomes a table of ``degree`` entries.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .stabchain import GroupHandle
 DOCUMENT_FORMAT = "permdecomp-decomposition/1"
 SIDECAR_FORMAT = "permdecomp-expected/1"
 _DIGITS_RE = re.compile(r"[0-9]+")
+_MAX_DEGREE = 10_000_000
 
 
 class GroupFileError(ValueError):
@@ -50,7 +55,12 @@ def parse_group_text(text: str) -> tuple[int, list[Permutation]]:
             # other scripts' digits, which the writer never produces
             if not _DIGITS_RE.fullmatch(rest):
                 raise GroupFileError(f"line {lineno}: bad degree {rest!r}")
-            degree = int(rest)
+            # the length first: int() refuses long digit strings itself, by
+            # a limit that depends on the Python version
+            digits = rest.lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_DEGREE)) or int(digits) > _MAX_DEGREE:
+                raise GroupFileError(f"line {lineno}: degree exceeds the maximum {_MAX_DEGREE}")
+            degree = int(digits)
             if degree < 1:
                 raise GroupFileError(f"line {lineno}: degree must be positive")
         elif keyword == "gen":
@@ -136,10 +146,14 @@ def load_document(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, and a number past int()'s digit limit, are ValueErrors;
+    # deep nesting exhausts the decoder's recursion
+    except (ValueError, RecursionError) as exc:
         raise GroupFileError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or type(doc.get("degree")) is not int or doc["degree"] < 1:
-        raise GroupFileError(f"{path}: not a decomposition document with a positive integer degree")
+    if (not isinstance(doc, dict) or type(doc.get("degree")) is not int
+            or not 1 <= doc["degree"] <= _MAX_DEGREE):
+        raise GroupFileError(f"{path}: not a decomposition document with a positive integer "
+                             f"degree of at most {_MAX_DEGREE}")
     return doc
 
 

@@ -12,14 +12,15 @@ Permutations are immutable and hashable, so they can be freely shared,
 stored in sets and used as dictionary keys.
 
 Internally the image table is stored 0-based.  The length of the image
-alone picks the representation, and this module is the only place that
-knows it: images of length 0..256 are ``bytes`` (every image is 0..255) and
-compose with one ``bytes.translate``; longer images are tuples of ints and
-compose with one ``operator.itemgetter`` call.  The chain builder also runs
-on raw images that are not a ``Permutation``'s: an element's action on the
-first m points, or on a suffix rebased to start at 0 (:func:`_rebased`),
-stored by the same rule, so a suffix of at most 256 points is ``bytes``
-whatever the degree.
+alone picks the representation, and this module applies the rule: images
+of length 0..256 are ``bytes`` (every image is 0..255) and compose with one
+``bytes.translate``; longer images are tuples of ints and compose with one
+``operator.itemgetter`` call.  Outside it, only ``stabchain`` reads the
+cutoff (``_MAX_BYTES_DEGREE``), to place its rebase point t0.
+``stabchain.build_chain`` also runs on raw images that are not a
+``Permutation``'s: an element's action on the first m points, or on a
+suffix rebased to start at 0 (:func:`_rebased`), stored by the same rule,
+so a suffix of at most 256 points is ``bytes`` whatever the degree.
 """
 
 from __future__ import annotations
@@ -315,8 +316,16 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not _PERM_RE.fullmatch(stripped):
         raise CycleFormatError(f"malformed cycle notation: {text!r}")
     cycles = []
+    width = len(str(degree))
     for body in _CYCLE_RE.findall(stripped):
-        points = [int(tok) for tok in body.split(",")]
+        # a point has at most the degree's digits: checked before int(),
+        # which refuses long digit strings by a limit that varies with the
+        # Python version
+        toks = [tok.lstrip("0") or "0" for tok in body.split(",")]
+        longest = max(map(len, toks))
+        if longest > width:
+            raise CycleFormatError(f"a point of {longest} digits is out of range 1..{degree}")
+        points = [int(tok) for tok in toks]
         if any(p < 1 for p in points):
             raise CycleFormatError(f"points must be positive: {text!r}")
         cycles.append(points)

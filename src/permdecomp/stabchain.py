@@ -20,7 +20,7 @@ t0 = max(0, m - 256) on the builder keeps only its rebased action on
 positions t0..m-1, which ``perm`` stores as ``bytes``: at most the first
 m - 256 levels of a chain with more than 256 candidates compose tuples.
 
-After construction a chain is immutable (its levels compute their inverse
+After construction a chain is immutable (it computes its levels' inverse
 tables on the first sift, always to the same values); orders are plain
 Python ints and therefore arbitrary precision.
 """
@@ -110,12 +110,9 @@ class TransversalLevel:
 
     ``coset_reps`` maps each point q of the basic orbit to a representative
     r with base_point^r = q; the base point itself maps to the identity.
-    The inverse tables that :func:`sift` reads (q - 1 to
-    ``r.inverse()._table()``) are computed from the representatives on
-    first use, so a chain that is only counted never computes them.
     """
 
-    __slots__ = ("base_point", "coset_reps", "level_generators", "_inv")
+    __slots__ = ("base_point", "coset_reps", "level_generators")
 
     def __init__(self, base_point: int, coset_reps: dict[int, Permutation],
                  level_generators: Sequence[Permutation] = ()):
@@ -127,15 +124,6 @@ class TransversalLevel:
         self.base_point = base_point
         self.coset_reps = dict(coset_reps)
         self.level_generators = tuple(level_generators)
-        self._inv = None
-
-    @property
-    def _inv0(self) -> dict[int, object]:
-        # 0-based image -> inverse representative's table, for the sift hot path
-        inv = self._inv
-        if inv is None:
-            inv = self._inv = {q - 1: _inverse_operand(r._img) for q, r in self.coset_reps.items()}
-        return inv
 
     def __repr__(self) -> str:
         return f"TransversalLevel(base_point={self.base_point}, orbit_size={len(self.coset_reps)})"
@@ -159,11 +147,14 @@ class StabilizerChain:
         self._plan = None
 
     def _sift_plan(self) -> list[tuple[int, dict[int, object]]]:
-        # each level's 0-based base point and inverse tables, for sift
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = [(level.base_point - 1, level._inv0) for level in self.levels]
-        return plan
+        # each level's 0-based base point, and q - 1 -> the table of the
+        # inverse of q's representative, for sift: computed on the first
+        # sift, so a chain that is only counted never computes them
+        if self._plan is None:
+            self._plan = [(level.base_point - 1, {q - 1: _inverse_operand(r._img)
+                                                  for q, r in level.coset_reps.items()})
+                          for level in self.levels]
+        return self._plan
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -245,8 +236,8 @@ def build_chain(generators: Sequence[Permutation], degree: int,
 
     The published chain is in the original points: each level's
     representatives are built next to their sweep images, a residue is
-    mapped back only when it joins the strong generators, and each level
-    computes the inverse tables that :func:`sift` reads from its
+    mapped back only when it joins the strong generators, and the chain
+    computes the inverse tables that :func:`sift` reads from the levels'
     representatives on the first sift.
     """
     gens = _dedup_generators(generators)
@@ -318,8 +309,6 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         pts, gens_local = node.pts, node.gens
         ep, eg = node.exp_pts, node.exp_gens
         ngens = len(gens_local)
-        if ep == len(pts) and eg == ngens:
-            return
         reps, srep, inv, tbls = node.reps, node.srep, node.inv, node.tbls
         compose = compose_low if t < t0 else compose_high
         # old points with new generators, then every point from the old
@@ -413,8 +402,8 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             node.pending = []
             t -= 1
 
-    # the published chain is in the original points; each level computes
-    # its inverse tables from its representatives on the first sift
+    # the published chain is in the original points; it computes its
+    # levels' inverse tables from their representatives on the first sift
     levels = []
     for t, node in enumerate(nodes):
         if len(node.pts) <= 1:
@@ -508,7 +497,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
         failure = _sift_failure(chain, g)
         if failure is not None:
             return f"input generator {i} {failure}"
-    base = chain.base
+    base, plan = chain.base, chain._sift_plan()
     # each strong generator -> the first level whose base point it moves
     first_moved = {x: next((j for j, p in enumerate(base, start=1) if x.image(p) != p), None)
                    for x in chain.strong_generators}
@@ -538,7 +527,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
             extra = min(reps.keys() - orbit)
             return f"level {t}: transversal point {extra} is not in the orbit of {b}"
         inverses = {q: u.inverse() for q, u in reps.items()}
-        if level._inv0 != {q - 1: v._table() for q, v in inverses.items()}:
+        if plan[t - 1][1] != {q - 1: v._table() for q, v in inverses.items()}:
             return f"level {t}: the inverse tables are not those of the representatives"
         for q, u in reps.items():
             for i, s in enumerate(gens, start=1):

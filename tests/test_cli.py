@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -8,9 +10,13 @@ from pathlib import Path
 import pytest
 
 import permdecomp
-from permdecomp import GroupHandle, decompose_handle, parse_cycles
+import permdecomp.apps as apps
+import permdecomp.cli as cli
+from permdecomp import GroupHandle, OrbitPartition, decompose_handle, parse_cycles
 from permdecomp.cli import main
+from permdecomp.decompose import decomposition_result
 from permdecomp.groupfile import (
+    _MAX_DEGREE,
     GroupFileError,
     group_file_text,
     parse_group_text,
@@ -57,10 +63,16 @@ class TestGroupFile:
         "degree 4\ngen (1,5)",            # point out of range
         "degree 4\nfoo bar",              # unknown keyword
         "degree x",                       # bad number
+        f"degree {_MAX_DEGREE + 1}",      # above the maximum
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(GroupFileError):
             parse_group_text(bad)
+
+    def test_maximum_degree_is_read_without_generators(self):
+        # no generator, so no table of 10**7 entries is built
+        assert parse_group_text(f"degree {_MAX_DEGREE}\n") == (_MAX_DEGREE, [])
+        assert parse_group_text("degree " + "0" * 5000 + "5\n") == (5, [])
 
 
 class TestDecomposeCommand:
@@ -357,6 +369,48 @@ class TestUsageErrors:
         for argv in ([str(bad), str(bad)], [str(bad), str(good)]):
             self.assert_one_error_line(capsys, ["verify", *argv], "integer degree")
 
+    # past the JSON decoder's recursion, int()'s digit limit, the maximum
+    # degree or the machine's memory: each is still one error line
+    def test_document_nested_too_deep(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_one_error_line(capsys, ["verify", str(path), str(path)], "not valid JSON")
+
+    def test_document_degree_digit_flood(self, tmp_path, capsys):
+        # invalid JSON under int()'s digit limit, a degree above the maximum
+        # where there is none
+        path = tmp_path / "flood.json"
+        path.write_text('{"degree": ' + "9" * 5000 + ', "factors": []}')
+        self.assert_one_error_line(capsys, ["verify", str(path), str(path)], "flood.json: not")
+
+    def test_document_degree_above_the_maximum(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": _MAX_DEGREE + 1, "factors": [{"support": [1]}]}))
+        self.assert_one_error_line(capsys, ["verify", str(path), str(path)],
+                                   f"degree of at most {_MAX_DEGREE}")
+
+    @pytest.mark.parametrize("command", ["decompose", "oracle"])
+    def test_group_file_point_digit_flood(self, tmp_path, capsys, command):
+        path = tmp_path / "flood.grp"
+        path.write_text("degree 4\ngen (1," + "9" * 5000 + ")\n")
+        self.assert_one_error_line(capsys, [command, str(path)],
+                                   "line 2: a point of 5000 digits is out of range 1..4")
+
+    # rejected before any table is built: one of 10**11 entries exhausts memory
+    @pytest.mark.parametrize("degree", ["9" * 5000, "100000000000"], ids=["flood", "1e11"])
+    def test_group_file_degree_above_the_maximum(self, tmp_path, capsys, degree):
+        path = tmp_path / "big.grp"
+        path.write_text(f"degree {degree}\ngen (1,2)\n")
+        self.assert_one_error_line(capsys, ["decompose", str(path)],
+                                   f"line 1: degree exceeds the maximum {_MAX_DEGREE}")
+
+    def test_out_of_memory(self, running_file, capsys, monkeypatch):
+        # a degree under the maximum can still exhaust the machine's memory
+        def exhausted(path):
+            raise MemoryError
+        monkeypatch.setattr(cli, "read_group_file", exhausted)
+        self.assert_one_error_line(capsys, ["decompose", running_file], "out of memory")
+
     @pytest.mark.parametrize("degree", [0, -3])
     def test_degree_not_positive(self, tmp_path, capsys, degree):
         # group files reject such degrees too; no document has one
@@ -435,6 +489,18 @@ class TestBenchCommand:
         small, big = (row["whole"]["median"] for row in rows)
         assert big > 2 * small  # doubling r more than doubles the baseline
 
+    def test_wrong_decomposition_exits_2(self, capsys, monkeypatch):
+        # each timed answer is checked against the instance's truth
+        def one_cell(handle):
+            k = handle.orbit_structure.k
+            return decomposition_result(handle, OrbitPartition([range(1, k + 1)]))
+        monkeypatch.setattr(apps, "decompose_handle", one_cell)
+        assert main(["bench", "--task", "decompose", "--inner", "C3", "--r", "2", "--s", "2",
+                     "--reps", "1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invariant violated: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [["--r", "2", "--s", "2", "--reps", "0"],
                                        ["--r", "2,0", "--s", "2"],
                                        ["--r", "2", "--s", "x"],
@@ -445,6 +511,75 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def _mutants(data: bytes, rng: random.Random, count: int, brackets: bytes):
+    """``count`` seeded mutants of ``data``, cycling through four kinds:
+    one to three byte flips; a flood of 20 to 5,000 digits, led by a
+    nonzero one; ``brackets`` opened and closed 60 or 100,000 deep; every
+    degree set past the maximum.  A flip leaves each number's digit count
+    (it may join two numbers, but no file here has a degree past two
+    digits), and a flood puts a number past any degree, so no mutant
+    builds a table of more than 100 entries."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            out = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                out[rng.randrange(len(out))] = rng.randrange(256)
+            yield bytes(out)
+        elif kind == 1:
+            flood = str(rng.randint(1, 9)) + "".join(
+                rng.choice("0123456789") for _ in range(rng.randint(19, 4999)))
+            pos = rng.randrange(len(data) + 1)
+            yield data[:pos] + flood.encode() + data[pos:]
+        elif kind == 2:
+            depth = rng.choice([60, 100_000])
+            start = rng.randrange(len(data) + 1)
+            end = rng.randrange(start, len(data) + 1)
+            yield (data[:start] + brackets[:1] * depth + data[start:end]
+                   + brackets[1:] * depth + data[end:])
+        else:
+            degree = rng.choice([str(_MAX_DEGREE + 1), "1" + "0" * 11, "1" + "0" * 5000])
+            yield re.sub(rb'(degree"?:? )[0-9]+', rb"\g<1>" + degree.encode(), data)
+
+
+class TestFuzzedInputs:
+    """Seeded mutants of a randgen file and of its decompose document,
+    through ``main``.  Every run exits with a documented code.  A run that
+    answers (0, or 5 from verify) writes nothing to stderr; any other
+    writes exactly one line there."""
+
+    @pytest.fixture
+    def instance(self, tmp_path, capsys):
+        group = tmp_path / "a4.grp"
+        assert main(["randgen", "--inner", "A4", "--r", "2", "--s", "3", str(group)]) == 0
+        capsys.readouterr()
+        assert main(["decompose", str(group)]) == 0
+        document = tmp_path / "a4.json"
+        document.write_text(capsys.readouterr().out)
+        return group, document
+
+    def assert_documented_exit(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in range(6), argv
+        assert err.count("\n") == (0 if code in (0, 5) else 1) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["decompose", "oracle"])
+    def test_group_files(self, tmp_path, capsys, instance, command):
+        group, _ = instance
+        mutant = tmp_path / "mutant.grp"
+        for data in _mutants(group.read_bytes(), random.Random(21), 200, b"()"):
+            mutant.write_bytes(data)
+            self.assert_documented_exit(capsys, [command, str(mutant)])
+
+    def test_documents(self, tmp_path, capsys, instance):
+        _, document = instance
+        mutant = tmp_path / "mutant.json"
+        for data in _mutants(document.read_bytes(), random.Random(21), 200, b"[]"):
+            mutant.write_bytes(data)
+            self.assert_documented_exit(capsys, ["verify", str(mutant), str(document)])
 
 
 class TestBuiltinGroups:

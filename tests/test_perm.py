@@ -162,6 +162,13 @@ class TestCycleNotation:
         with pytest.raises(CycleFormatError):
             parse_cycles(bad, 12)
 
+    def test_digit_flood_is_a_format_error(self):
+        # told by its length before int(), whose digit limit varies with the
+        # Python version; leading zeros do not count
+        with pytest.raises(CycleFormatError, match="a point of 5000 digits"):
+            parse_cycles("(1," + "9" * 5000 + ")", 12)
+        assert parse_cycles("(" + "0" * 5000 + "1,2)", 12) == parse_cycles("(1,2)", 12)
+
     def test_from_cycles_of_degree_zero(self):
         with pytest.raises(ValueError, match="at least 1"):
             Permutation.from_cycles([], 0)

@@ -278,9 +278,9 @@ def _chain_digest(chain):
     """SHA-256 over the base, the strong generators in order, and each
     level's coset representatives and inverse tables in their stored order."""
     lines = [",".join(map(str, chain.base)), *chain.strong_generators]
-    for level in chain.levels:
+    for level, (_, tables) in zip(chain.levels, chain._sift_plan()):
         lines += (f"{q} {r}" for q, r in level.coset_reps.items())
-        lines += (f"{q} {','.join(map(str, tbl))}" for q, tbl in level._inv0.items())
+        lines += (f"{q} {','.join(map(str, tbl))}" for q, tbl in tables.items())
     return _sha(lines)
 
 
@@ -356,8 +356,9 @@ class TestAcrossTheRebasePoint:
         for level, big in zip(chain.levels, padded.levels, strict=True):
             assert list(big.coset_reps.items()) == [(q, _padded(u, degree))
                                                     for q, u in level.coset_reps.items()]
-            assert [(q, list(tbl)) for q, tbl in big._inv0.items()] == \
-                [(q, list(tbl[:256]) + tail) for q, tbl in level._inv0.items()]
+        for (_, tables), (_, big) in zip(chain._sift_plan(), padded._sift_plan(), strict=True):
+            assert [(q, list(tbl)) for q, tbl in big.items()] == \
+                [(q, list(tbl[:256]) + tail) for q, tbl in tables.items()]
 
 
 def pinned_d10_chain(rep2):
@@ -485,15 +486,17 @@ class TestPointwiseStabilizerLevel:
 
 def _replace_level(chain, t, coset_reps=None, level_generators=None, inverse_tables=None):
     # the chain with level t rebuilt from the given parts, the rest kept;
-    # inverse tables are planted in place of the ones the level computes
+    # inverse tables are planted in the new chain's plan in place of the
+    # ones it computes
     level = chain.levels[t - 1]
     levels = list(chain.levels)
     levels[t - 1] = TransversalLevel(
         level.base_point, level.coset_reps if coset_reps is None else coset_reps,
         level.level_generators if level_generators is None else level_generators)
+    new = StabilizerChain(chain.degree, levels, chain.strong_generators)
     if inverse_tables is not None:
-        levels[t - 1]._inv = inverse_tables
-    return StabilizerChain(chain.degree, levels, chain.strong_generators)
+        new._sift_plan()[t - 1] = (level.base_point - 1, inverse_tables)
+    return new
 
 
 @st.composite
