@@ -10,7 +10,9 @@ from importlib import resources
 from .perm import Permutation
 from .stabchain import GroupHandle
 
-_NAME_RE = re.compile(r"([CDAS])(\d+)$")
+# ASCII digits only, as in perm and groupfile: \d would also match other
+# scripts' digits
+_NAME_RE = re.compile(r"([CDAS])([0-9]+)$")
 
 
 class UnknownGroupName(ValueError):

@@ -16,11 +16,12 @@ alone picks the representation, and this module applies the rule: images
 of length 0..256 are ``bytes`` (every image is 0..255) and compose with one
 ``bytes.translate``; longer images are tuples of ints and compose with one
 ``operator.itemgetter`` call.  Outside it, only ``stabchain`` reads the
-cutoff (``_MAX_BYTES_DEGREE``), to place its rebase point t0.
+cutoff (``_MAX_BYTES_DEGREE``), to place its cut point t0.
 ``stabchain.build_chain`` also runs on raw images that are not a
-``Permutation``'s: an element's action on the first m points, or on a
-suffix rebased to start at 0 (:func:`_rebased`), stored by the same rule,
-so a suffix of at most 256 points is ``bytes`` whatever the degree.
+``Permutation``'s: an element's action on its first m or first 256 points,
+stored by the same rule, so a prefix of at most 256 points is ``bytes``
+whatever the degree, and :func:`_padded` extends such an image with fixed
+points.
 """
 
 from __future__ import annotations
@@ -84,30 +85,12 @@ def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[byte
     return out
 
 
-@cache
-def _shift_down(start: int, degree: int) -> tuple[int, ...]:
-    return tuple(range(-start, degree - start))
-
-
-def _rebased(img: bytes | tuple[int, ...], start: int) -> bytes | tuple[int, ...]:
-    """The stored form of ``img`` on its indices from ``start`` on, shifted
-    down by ``start``; ``img`` must map those indices among themselves.
-    One C-level gather: ``start`` must leave at least two indices."""
-    return _as_image(itemgetter(*img[start:])(_shift_down(start, len(img))))
-
-
-def _lifted(img: bytes | tuple[int, ...], start: int, degree: int) -> bytes | tuple[int, ...]:
-    """The stored form of the image of ``degree`` indices that acts on
-    ``start``.. as ``img`` shifted up by ``start`` and fixes the others:
-    :func:`_rebased` undone and padded to ``degree``."""
-    n = len(img)
-    if start:
-        img = itemgetter(*img)(_shift_down(-start, n))  # n >= 2, as in _rebased
-    else:
-        tail = _identity_image(degree)[n:]
-        if type(tail) is type(img):  # the same form: one concatenation
-            return img + tail
-    return _as_image((*range(start), *img, *range(start + n, degree)))
+def _padded(img: bytes | tuple[int, ...], degree: int) -> bytes | tuple[int, ...]:
+    """The stored form of the image of ``degree`` indices that acts on the
+    first ``len(img)`` as ``img`` does and fixes the others."""
+    tail = _identity_image(degree)[len(img):]
+    # bytes and a tuple only meet past degree 256, whose form is a tuple
+    return img + tail if type(tail) is type(img) else (*img, *tail)
 
 
 @cache

@@ -13,12 +13,13 @@ an earlier orbit after later-orbit base points already exist.
 Redundant candidates (whose basic orbit stays a singleton) are dropped from
 the published chain, so bases are always non-redundant.  Most candidates are
 redundant, so the builder relabels the points so that the candidates are
-positions 0..m-1 in order (see :func:`build_chain`) and finds the next
-candidate an element moves in C instead of visiting each candidate in
-turn.  An element at level t fixes positions 0..t-1, so from
-t0 = max(0, m - 256) on the builder keeps only its rebased action on
-positions t0..m-1, which ``perm`` stores as ``bytes``: at most the first
-m - 256 levels of a chain with more than 256 candidates compose tuples.
+positions m-1..0, last to first (see :func:`build_chain`), and finds the
+next candidate an element moves in C instead of visiting each candidate in
+turn.  An element at level t fixes positions m-t..m-1, so from
+t0 = max(0, m - 256) on the builder keeps only its action on the first
+m - t0 positions, a slice that ``perm`` stores as ``bytes``: at most the
+first m - 256 levels of a chain with more than 256 candidates compose
+tuples.
 
 After construction a chain is immutable (it computes its levels' inverse
 tables on the first sift, always to the same values); orders are plain
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .perm import (_MAX_BYTES_DEGREE, Permutation, _as_image, _identity_image,
-                   _inverse_operand, _lifted, _operand, _rebased, _relabel)
+                   _inverse_operand, _operand, _padded, _relabel)
 
 
 class OrbitStructure:
@@ -166,18 +167,16 @@ class StabilizerChain:
 
 class _Node:
     # builder-internal level for one candidate position, in the sweep's
-    # coordinates (see build_chain): its images are those of positions
-    # lo..m-1, rebased so that position lo is index 0, and base is its own
-    # position there
-    __slots__ = ("lo", "gens", "tbls", "reps", "srep", "inv", "pts",
+    # coordinates (see build_chain): its images are those of the first m
+    # positions, or from t0 on of the first m - t0, and base is its position
+    __slots__ = ("gens", "tbls", "reps", "srep", "inv", "pts",
                  "exp_pts", "exp_gens", "pending")
 
-    def __init__(self, lo: int, base: int, identity: Permutation, ident, ident_tbl):
-        self.lo = lo
+    def __init__(self, base: int, identity: Permutation, ident, ident_tbl):
         self.gens: list[Permutation] = []  # level generators, in the original points
         self.tbls: list[object] = []      # their operands here, in step with gens
-        # orbit point (a rebased position) -> its representative, its image
-        # here, and the inverse's operand here
+        # orbit point (a position) -> its representative, its image here, and
+        # the inverse's operand here
         self.reps: dict[int, Permutation] = {base: identity}
         self.srep: dict[int, object] = {base: ident}
         self.inv: dict[int, object] = {base: ident_tbl}
@@ -210,29 +209,32 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     smallest moved point outside the candidates.
 
     The sweep runs on candidate positions.  With sigma sending candidate i
-    to position i and the other points after the m candidates, it carries
-    each element x as c(x) = sigma^-1 * x * sigma, restricted to positions
-    0..m-1: position i goes to position j when x sends candidate i to
-    candidate j.  The cover check, run on the whole c(x) of each input
-    generator, proves that positions m and above are fixed by every
-    element, so the restriction loses nothing.  Level t's base point is
-    position t, and the next candidate an element moves is the first
+    to position m-1-i and the other points after the m candidates, it
+    carries each element x as c(x) = sigma^-1 * x * sigma, restricted to
+    positions 0..m-1: position m-1-i goes to position m-1-j when x sends
+    candidate i to candidate j.  The cover check, run on the whole c(x) of
+    each input generator, proves that positions m and above are fixed by
+    every element, so the restriction loses nothing.  Level t's base point
+    is position m-1-t, and the next candidate an element moves is the last
     position where c(x) differs from the identity, found by slice
-    comparisons, so sifting composes only at moved candidates and skips
-    the fixed ones in C.
+    comparisons, so sifting composes only at moved candidates and skips the
+    fixed ones in C.
 
-    Let t0 = max(0, m - 256).  Every element the sweep handles at a level
-    t >= t0 fixes the positions below t.  A generator or residue joins the
-    levels up to the first position it moves, so each level's generators,
-    and the representatives built from them, fix the earlier positions.
-    A Schreier generator of level t also fixes position t, and each step of
-    its strip from t + 1 keeps the positions it has passed fixed.  So from
-    level t0 on an element is its suffix on positions t0..m-1, rebased to
-    0..m-t0-1: a permutation of at most 256 indices that ``perm`` stores
-    as ``bytes`` and composes with one ``bytes.translate``.  Levels below
-    t0 hold images of all m positions, and a strip rebases its siftee once,
-    with one C-level gather, when it passes t0.  Up to 256 candidates,
-    t0 = 0 and every level has the one form, whatever the degree.
+    Let t0 = max(0, m - 256) and k = m - t0.  A generator or residue joins
+    only the levels up to the first candidate it moves, so each level's
+    generators, and the representatives built from them, fix the positions
+    of the levels before it.  A Schreier generator of level t also fixes
+    position m-1-t, and each step of its strip keeps the positions it has
+    passed fixed.  So every element the sweep handles at a level t >= t0
+    fixes positions m-t..m-1, and with them k..m-1: it maps positions
+    0..k-1 among themselves, and its image there is the first k entries of
+    its image of all m positions, with no offset.  That is a permutation of
+    at most 256 indices, which ``perm`` stores as ``bytes`` and composes
+    with one ``bytes.translate``.  Levels below t0 hold images of all m
+    positions; a strip cuts its siftee to its first k entries once, when it
+    passes t0, and a residue leaves the sweep padded with fixed points.  Up
+    to 256 candidates, t0 = 0 and every level has the one form, whatever
+    the degree.
 
     The published chain is in the original points: each level's
     representatives are built next to their sweep images, a residue is
@@ -256,47 +258,48 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     k = m - t0
     identity = Permutation.identity(degree)
     compose_n = Permutation._composer(degree)
-    # sigma^-1 lists the candidates first, then the other points
+    # sigma^-1 lists the candidates last to first, then the other points
     rest = [p for p in range(1, degree + 1) if p not in chosen]
-    sigma_inv = Permutation._make(_as_image([p - 1 for p in candidates + rest]))
+    sigma_inv = Permutation._make(_as_image([p - 1 for p in candidates[::-1] + rest]))
     sigma = sigma_inv.inverse()
-    # levels below t0 hold images of all m positions, the others of the k
-    # positions from t0 on
+    # levels below t0 hold images of all m positions, the others of the
+    # first k
     ident_low, ident_high = _identity_image(m), _identity_image(k)
     compose_low, compose_high = Permutation._composer(m), Permutation._composer(k)
     low_tbl, high_tbl = _operand(ident_low), _operand(ident_high)
-    low = [_Node(0, t, identity, ident_low, low_tbl) for t in range(t0)]
-    high = [_Node(t0, u, identity, ident_high, high_tbl) for u in range(k)]
-    nodes = low + high
+    nodes = ([_Node(m - 1 - t, identity, ident_low, low_tbl) for t in range(t0)]
+             + [_Node(m - 1 - t, identity, ident_high, high_tbl) for t in range(t0, m)])
+    at = nodes[::-1]  # at[p] is the level whose base point is position p
     strong: list[Permutation] = []
 
-    def next_moved(v, t: int, hi: int = k, ident=ident_high) -> int:
-        # the first index in [t, hi) where v differs from the identity, else
-        # hi; the binary search keeps a differing index inside [t, hi)
-        if v[t:hi] == ident[t:hi]:
-            return hi
-        if v[t] != t:
-            return t
-        while hi - t > 1:
-            mid = (t + hi) >> 1
-            if v[t:mid] == ident[t:mid]:
-                t = mid
-            else:
+    def last_moved(v, p: int, lo: int = 0, ident=ident_high) -> int:
+        # the last index in [lo, p] where v differs from the identity, else
+        # lo - 1; the binary search keeps a differing index inside [lo, hi)
+        hi = p + 1
+        if v[lo:hi] == ident[lo:hi]:
+            return lo - 1
+        if v[p] != p:
+            return p
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if v[mid:hi] == ident[mid:hi]:
                 hi = mid
-        return t
+            else:
+                lo = mid
+        return lo
 
     def attach(x: Permutation, c, lo: int, hi: int) -> None:
         # x joins the strong generators and levels lo..hi, where c = c(x) on
-        # all m positions and hi is the first position it moves
+        # all m positions and hi is the level of the last position it moves
         strong.append(x)
         if lo < t0:
             tbl = _operand(c)
-            for node in low[lo:hi + 1]:
+            for node in nodes[lo:min(hi + 1, t0)]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
         if hi >= t0:
-            tbl = _operand(_rebased(c, t0) if t0 else c)
-            for node in high[max(lo - t0, 0):hi - t0 + 1]:
+            tbl = _operand(bytes(c[:k]) if t0 else c)
+            for node in nodes[max(lo, t0):hi + 1]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
 
@@ -332,26 +335,26 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                             + [(p, tb) for p in pts[:ep] for tb in tbls[eg:]])
 
     def strip(v, t: int) -> tuple[object, int]:
-        # sift v = c(x), in level t's form, through levels t+1..m-1, for an
-        # x fixing positions 0..t.  Below t0, v holds all m positions and is
-        # rebased once, when x fixes every position below t0
-        s = t + 1
+        # sift v = c(x), in level t's form, through levels t+1..m-1 (positions
+        # m-2-t down to 0), for an x fixing positions m-1-t..m-1.  Below t0,
+        # v holds all m positions and is cut to its first k = 256 once x
+        # fixes positions k..m-1
+        p = m - 2 - t
         if t < t0:
-            while (s := next_moved(v, s, t0, ident_low)) < t0:
-                tbl = low[s].inv.get(v[s])
+            while (p := last_moved(v, p, k, ident_low)) >= k:
+                tbl = at[p].inv.get(v[p])
                 if tbl is None:
-                    return v, s
+                    return v, m - 1 - p
                 v = compose_low(v, tbl)
-                s += 1
-            v = _rebased(v, t0)
-        u = s - t0
-        while (u := next_moved(v, u)) < k:
-            tbl = high[u].inv.get(v[u])
+                p -= 1
+            v = bytes(v[:k])
+        while (p := last_moved(v, p)) >= 0:
+            tbl = at[p].inv.get(v[p])
             if tbl is None:
                 break
             v = compose_high(v, tbl)
-            u += 1
-        return v, u + t0
+            p -= 1
+        return v, m - 1 - p
 
     to_point, to_position = sigma_inv._img, sigma._table()
     for g in gens:
@@ -360,7 +363,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             p = min(set().union(*(h.support() for h in gens)) - chosen)
             raise ValueError(f"candidates do not cover moved point {p}")
         c = _as_image(c[:m])
-        attach(g, c, 0, next_moved(c, 0, m, ident_low))
+        attach(g, c, 0, m - 1 - last_moved(c, m - 1, 0, ident_low))
 
     # verify levels bottom-up.  A level with no pending pairs is extended
     # first.  When a pair of level t yields a residue, the residue joins
@@ -392,8 +395,8 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             if j == m:  # fixes every candidate, which cover the support
                 continue
             # back to all m positions, then to the original points
-            c = _lifted(res, nodes[j].lo, m)
-            back = compose_n(sigma._img, _operand(_lifted(c, 0, degree)))
+            c = _padded(res, m)
+            back = compose_n(sigma._img, _operand(_padded(c, degree)))
             attach(Permutation._make(compose_n(back, sigma_inv._table())), c, t + 1, j)
             node.pending = pending[i:]
             t = j
@@ -408,9 +411,8 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     for t, node in enumerate(nodes):
         if len(node.pts) <= 1:
             continue
-        lo = node.lo
         levels.append(TransversalLevel(candidates[t],
-                                       {candidates[lo + q]: r for q, r in node.reps.items()},
+                                       {candidates[m - 1 - q]: r for q, r in node.reps.items()},
                                        tuple(node.gens)))
     return StabilizerChain(degree, levels, strong)
 

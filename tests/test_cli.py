@@ -23,7 +23,8 @@ from permdecomp.groupfile import (
     read_group_file,
     write_group_file,
 )
-from permdecomp.groups import alternating, by_name, cyclic, load_bundled_group, symmetric
+from permdecomp.groups import (UnknownGroupName, alternating, by_name, cyclic,
+                               load_bundled_group, symmetric)
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -259,6 +260,14 @@ class TestUsageErrors:
         self.assert_one_error_line(capsys, ["randgen", "--inner", str(inner), "--r", "2",
                                             "--s", "2", str(out)], "transitive")
         assert not out.exists()
+
+    def test_non_ascii_digits_are_not_a_family_name(self, tmp_path, monkeypatch, capsys):
+        # "C" followed by U+0663 ARABIC-INDIC DIGIT THREE names no family, so
+        # it is read as a group file, which does not exist
+        monkeypatch.chdir(tmp_path)
+        self.assert_one_error_line(capsys, ["randgen", "--inner", "C\u0663", "--r", "1",
+                                            "--s", "2", "out.grp"], "C\u0663")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_family_parameter_is_named(self, tmp_path, capsys):
         self.assert_one_error_line(capsys, ["randgen", "--inner", "D7", "--r", "2", "--s", "2",
@@ -596,6 +605,11 @@ class TestBuiltinGroups:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             by_name("Q8")
+
+    def test_non_ascii_digits_name_no_family(self):
+        # U+0663 ARABIC-INDIC DIGIT THREE: the grammar C<n> takes ASCII digits
+        with pytest.raises(UnknownGroupName):
+            by_name("C\u0663")
 
     @pytest.mark.parametrize("family, n", [(cyclic, 1), (alternating, 2), (symmetric, 1)],
                              ids=["C1", "A2", "S1"])

@@ -293,9 +293,11 @@ def _padded(g, degree):
 def _rebase_instance(m, mixed):
     """Generators, degree, candidates (m of them) and true factor supports:
     C2 s=2 r=64 padded to degree 257 on the candidates 1..257 (the one fixed
-    candidate comes last), C3 s=2 r=48 at degree 288 and C2 s=2 r=80 at
-    degree 320 on their orbits; mixed by 2 * |gens| seeded Nielsen moves."""
-    inner, r, degree = {257: ("C2", 64, 257), 288: ("C3", 48, 288), 320: ("C2", 80, 320)}[m]
+    candidate comes last), C3 s=2 r=48 at degree 288, C2 s=2 r=80 at degree
+    320 and C2 s=2 r=128 at degree 512 on their orbits; mixed by 2 * |gens|
+    seeded Nielsen moves."""
+    inner, r, degree = {257: ("C2", 64, 257), 288: ("C3", 48, 288), 320: ("C2", 80, 320),
+                        512: ("C2", 128, 512)}[m]
     group, partition = random_ddp_group(RandomInstanceSpec(by_name(inner), r, 2, seed=1))
     structure = group.orbit_structure
     gens = [_padded(g, degree) for g in group.generators]
@@ -310,21 +312,32 @@ def _rebase_instance(m, mixed):
 
 class TestAcrossTheRebasePoint:
     """More than 256 candidates: levels below t0 = m - 256 carry images of
-    all m candidate positions, the later ones rebased suffixes (see
-    build_chain)."""
+    all m candidate positions, the later ones images of the first 256 (see
+    build_chain).  At m = 512, t0 = 256: as many levels hold tuples as hold
+    ``bytes``."""
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
-    @pytest.mark.parametrize("m", [257, 288, 320])
+    @pytest.mark.parametrize("m", [257, 288, 320, 512])
     def test_audit_and_the_product_of_the_true_factors(self, m, mixed):
         gens, degree, candidates, cells = _rebase_instance(m, mixed)
         assert len(candidates) == m
         chain = build_chain(gens, degree, candidates)
         assert audit_chain(chain, gens) is None
-        # each true factor on its own points, far below the rebase point
+        # each true factor on its own points, far fewer than 256 of them
         assert chain.order == math.prod(GroupHandle.on_points(gens, cell).order
                                         for cell in cells)
 
-    # plain generators only: sympy takes seconds on the mixed ones
+    # the degree-512 chains digested whole by _chain_digest
+    @pytest.mark.parametrize("mixed, digest", [
+        (False, "35ea6745db36e69cbb11e9eaeee008db58cbb12447c094a39e86bcb3592b02b9"),
+        (True, "83ef7d333bf0b46d6828fa3ff6de347c44ca03e91cb05cbb943f0a54c78fbaa4"),
+    ], ids=["plain", "mixed"])
+    def test_degree_512_chains(self, mixed, digest):
+        gens, degree, candidates, _ = _rebase_instance(512, mixed)
+        assert _chain_digest(build_chain(gens, degree, candidates)) == digest
+
+    # plain generators only, up to degree 320: sympy takes seconds on the
+    # mixed ones and at degree 512
     @pytest.mark.parametrize("m", [257, 288, 320])
     def test_order_agrees_with_sympy(self, m):
         combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -696,16 +709,23 @@ def _strips(gens, degree, candidates):
 
 
 class TestSchreierPairs:
-    # wide's D8 s=4 r=16 base group (degree 256, grid seed 2004_11618) and
-    # CI's D8 r=17 s=4 seed-1 group (degree 272, so t0 = 16).  Each pair of
-    # a final level is stripped once, and once more after each residue it
+    # wide's D8 s=4 r=16 base group (degree 256, grid seed 2004_11618), CI's
+    # D8 r=17 s=4 seed-1 group (degree 272, so t0 = 16), and wide's D8 s=4
+    # r=18 group (degree 288, t0 = 32, grid seed 2004_11620) after 2 * |gens|
+    # seeded Nielsen moves, whose residues re-descend across t0.  Each pair
+    # of a final level is stripped once, and once more after each residue it
     # yields; a residue adds a point to the orbit of the last level it
     # joins, and that point's tree edge is never stripped
-    @pytest.mark.parametrize("r, seed", [(16, 2004_11618), (17, 1)],
-                             ids=["wide-degree-256", "ci-degree-272"])
-    def test_each_pair_is_verified_once(self, r, seed):
+    @pytest.mark.parametrize("r, seed, mixed", [(16, 2004_11618, False), (17, 1, False),
+                                                (18, 2004_11620, True)],
+                             ids=["wide-degree-256", "ci-degree-272", "wide-degree-288-mixed"])
+    def test_each_pair_is_verified_once(self, r, seed, mixed):
         group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 4, seed=seed))
-        chain, strips = _strips(group.generators, group.degree,
+        gens = list(group.generators)
+        if mixed:
+            gens = [Permutation(t) for t in
+                    nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+        chain, strips = _strips(gens, group.degree,
                                 orbit_ordered_candidates(group.orbit_structure))
         assert chain.order == group.order
         assert strips <= sum(len(level.coset_reps) * len(level.level_generators)
