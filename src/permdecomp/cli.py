@@ -6,7 +6,8 @@ baseline), ``randgen`` (random instance files with a ground-truth sidecar),
 tables).
 
 Exit codes are part of the contract: 0 ok, 1 parse error (a malformed file,
-such as one whose degree exceeds 10,000,000, or an out-of-range flag value)
+such as one whose degree exceeds 10,000,000, a flag value out of range or
+not in ASCII digits, or an instance whose degree would exceed 10,000,000)
 or out of memory, 2 internal invariant breach, 3 orbit cap exceeded, 4 retry
 budget exhausted, 5 decompositions not equivalent.
 """
@@ -16,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .apps import run_benchmark
 from .decompose import InvariantViolation, decompose_handle, decomposition_result
 from .groupfile import (
+    _MAX_DEGREE,
     GroupFileError,
     decomposition_document,
     document_supports,
@@ -53,6 +56,28 @@ class UsageError(Exception):
     """A command-line value outside its documented range."""
 
 
+# int() and float() also take other scripts' digits, "_" and spaces
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_SECONDS_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def _integer(text: str) -> int:
+    """An integer flag value in ASCII digits, with an optional "-"."""
+    if _INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
+
+
+def _seconds(text: str) -> float:
+    """A number of seconds in ASCII digits, with an optional fraction."""
+    if not _SECONDS_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a number of seconds in ASCII digits: {text!r}")
+    return float(text)
+
+
 def _positive(flag: str, value: int) -> int:
     if value < 1:
         raise UsageError(f"{flag} must be at least 1, got {value}")
@@ -77,6 +102,14 @@ def _inner_group(name_or_path: str) -> GroupHandle:
     return handle
 
 
+def _check_degree(inner: GroupHandle, r: int, s: int) -> None:
+    # r * s copies of the inner group's points, which a group file must hold
+    degree = r * s * inner.degree
+    if degree > _MAX_DEGREE:
+        raise UsageError(f"r={r} s={s} copies of a degree-{inner.degree} group have "
+                         f"degree {degree}, above the maximum {_MAX_DEGREE}")
+
+
 def cmd_decompose(args) -> int:
     handle = _load_handle(args.input)
     result = decompose_handle(handle, verify=args.check)
@@ -97,6 +130,7 @@ def cmd_randgen(args) -> int:
     _positive("--r", args.r)
     _positive("--s", args.s)
     inner = _inner_group(args.inner)
+    _check_degree(inner, args.r, args.s)
     spec = RandomInstanceSpec(inner, args.r, args.s, args.seed)
     handle, expected = random_ddp_group(spec)
     comments = [
@@ -131,10 +165,10 @@ def cmd_verify(args) -> int:
 
 def _positive_list(flag: str, text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise UsageError(f"{flag} must be a comma-separated list of integers, "
-                         f"got {text!r}") from None
+        values = [_integer(tok) for tok in text.split(",") if tok]
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"{flag} must be a comma-separated list of integers "
+                         f"in ASCII digits, got {text!r}") from None
     if not values:
         raise UsageError(f"{flag} must list at least one integer, got {text!r}")
     return [_positive(flag, v) for v in values]
@@ -148,6 +182,7 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--time-limit must be a positive finite number of seconds, "
                          f"got {args.time_limit}")
     inner = _inner_group(args.inner)
+    _check_degree(inner, max(rs), max(ss))  # the sweep's largest instance
     rows = []
     for r in rs:
         for s in ss:
@@ -204,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="decompose by brute force (baseline)")
     p.add_argument("input", help="group file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_ORBIT_CAP,
                    help=f"maximum orbit count (default {DEFAULT_ORBIT_CAP})")
     p.add_argument("--pairs-first", action="store_true",
                    help="glue indecomposable orbit pairs before the bipartition search")
@@ -214,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True,
                    help="inner transitive group: C<n>, D<order>, A<n>, S<n>, a bundled "
                         "name (W2222, W2C8) or a group file path")
-    p.add_argument("--r", type=int, required=True, help="number of factors")
-    p.add_argument("--s", type=int, required=True, help="orbits per factor")
-    p.add_argument("--seed", type=int, default=1, help="rng seed (default 1)")
+    p.add_argument("--r", type=_integer, required=True, help="number of factors")
+    p.add_argument("--s", type=_integer, required=True, help="orbits per factor")
+    p.add_argument("--seed", type=_integer, default=1, help="rng seed (default 1)")
     p.add_argument("output", help="output group file; a .expected.json sidecar is written too")
     p.set_defaults(fn=cmd_randgen)
 
@@ -230,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", required=True)
     p.add_argument("--r", required=True, help="comma-separated list, e.g. 4,6,8")
     p.add_argument("--s", required=True, help="comma-separated list")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--time-limit", type=float, default=60.0,
+    p.add_argument("--reps", type=_integer, default=3)
+    p.add_argument("--time-limit", type=_seconds, default=60.0,
                    help="seconds per measured computation (default 60)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_integer, default=1)
     p.add_argument("--json", action="store_true", help="one JSON row per line")
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -22,6 +22,12 @@ cutoff (``_MAX_BYTES_DEGREE``), to place its cut point t0.
 stored by the same rule, so a prefix of at most 256 points is ``bytes``
 whatever the degree, and :func:`_padded` extends such an image with fixed
 points.
+
+A ``Permutation`` holds its image and nothing else.  The right operand of
+a product (:func:`_operand`) is the image itself, or for ``bytes`` the
+image padded to a 256-byte translate table with fixed points; the pad is
+never read, since ``bytes.translate`` looks up only the input's values,
+which are below the degree.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ class CycleFormatError(ValueError):
 
 
 _MAX_BYTES_DEGREE = 256
-_PAD = bytes(256)
+_ID = bytes(range(256))
 
 # after stripping whitespace: "()" alone, or one or more cycles of >= 2
 # points in ASCII digits (\d would also match other scripts' digits)
@@ -57,8 +63,9 @@ def _identity_image(degree: int) -> bytes | tuple[int, ...]:
 
 def _operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
     """The right operand of :meth:`Permutation._composer` for a raw image:
-    the image padded to a 256-byte translate table, or the tuple itself."""
-    return img + _PAD[len(img):] if len(img) <= _MAX_BYTES_DEGREE else img
+    the image padded with fixed points to a 256-byte translate table, or
+    the tuple itself."""
+    return img + _ID[len(img):] if len(img) <= _MAX_BYTES_DEGREE else img
 
 
 def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[bytes | tuple[int, ...]]:
@@ -93,21 +100,13 @@ def _padded(img: bytes | tuple[int, ...], degree: int) -> bytes | tuple[int, ...
     return img + tail if type(tail) is type(img) else (*img, *tail)
 
 
-@cache
-def _inverse_pads(degree: int) -> tuple[bytes, bytes]:
-    # the indices past degree, and the identity padded with zeros as
-    # _operand pads: the two tails that _inverse_operand hands maketrans
-    return bytes(range(degree, _MAX_BYTES_DEGREE)), _operand(_identity_image(degree))
-
-
 def _inverse_operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:
     """The right operand of :meth:`Permutation._composer` for the inverse of
-    the raw image ``img``: what ``_table()`` of the inverse would hold."""
+    the raw image ``img``: ``_operand`` of the inverse's image."""
     n = len(img)
     if n <= _MAX_BYTES_DEGREE:
-        # maketrans sends img[i] to i and the indices past n to 0
-        past, to = _inverse_pads(n)
-        return bytes.maketrans(img + past, to)
+        # maketrans sends img[i] to i and fixes the indices past n
+        return bytes.maketrans(img + _ID[n:], _ID)
     inv = [0] * n
     for i, x in enumerate(img):
         inv[x] = i
@@ -123,7 +122,7 @@ def _compose_tuples(img: tuple[int, ...], tbl: tuple[int, ...]) -> tuple[int, ..
 class Permutation:
     """A permutation of 1..degree, stored as an image table."""
 
-    __slots__ = ("_img", "_tbl")
+    __slots__ = ("_img",)
 
     def __init__(self, images: Sequence[int]):
         """Build a permutation from its 1-based image table.
@@ -138,7 +137,6 @@ class Permutation:
         if sorted(zero_based) != list(range(n)):
             raise ValueError(f"not a bijection on 1..{n}: {images!r}")
         self._img = _as_image(zero_based)
-        self._tbl = None
 
     @classmethod
     def _make(cls, img) -> "Permutation":
@@ -146,7 +144,6 @@ class Permutation:
         # 0-based table of the right type
         p = object.__new__(cls)
         p._img = img
-        p._tbl = None
         return p
 
     @classmethod
@@ -189,26 +186,17 @@ class Permutation:
 
     @staticmethod
     def _composer(degree: int):
-        """The raw product for images of length ``degree``: ``op(a._img,
-        b._table())`` is ``(a * b)._img``, and ``op(a, _operand(b))`` the
-        same for raw images.  Hot loops fetch it once and run on raw
-        images."""
+        """The raw product for images of length ``degree``: ``op(a,
+        _operand(b))`` is the image of the product of the images a and b.
+        Hot loops fetch it once and run on raw images."""
         return bytes.translate if degree <= _MAX_BYTES_DEGREE else _compose_tuples
-
-    def _table(self) -> bytes | tuple[int, ...]:
-        """The right operand of :meth:`_composer` (see :func:`_operand`),
-        cached."""
-        tbl = self._tbl
-        if tbl is None:
-            tbl = self._tbl = _operand(self._img)
-        return tbl
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right composition: apply self first, then other."""
         a = self._img
         if len(a) != len(other._img):
             raise ValueError(f"degree mismatch: {len(a)} vs {len(other._img)}")
-        return Permutation._make(Permutation._composer(len(a))(a, other._table()))
+        return Permutation._make(Permutation._composer(len(a))(a, _operand(other._img)))
 
     def inverse(self) -> "Permutation":
         return Permutation._make(_inverse_operand(self._img)[:len(self._img)])

@@ -172,14 +172,14 @@ class _Node:
     __slots__ = ("gens", "tbls", "reps", "srep", "inv", "pts",
                  "exp_pts", "exp_gens", "pending")
 
-    def __init__(self, base: int, identity: Permutation, ident, ident_tbl):
+    def __init__(self, base: int, identity: Permutation, ident, ident_inv):
         self.gens: list[Permutation] = []  # level generators, in the original points
         self.tbls: list[object] = []      # their operands here, in step with gens
         # orbit point (a position) -> its representative, its image here, and
         # the inverse's operand here
         self.reps: dict[int, Permutation] = {base: identity}
         self.srep: dict[int, object] = {base: ident}
-        self.inv: dict[int, object] = {base: ident_tbl}
+        self.inv: dict[int, object] = {base: ident_inv}
         self.pts = [base]                 # orbit points in discovery order
         self.exp_pts = 0                  # orbit expansion frontier: pairs with
         self.exp_gens = 0                 # p_idx < exp_pts, g_idx < exp_gens done
@@ -266,9 +266,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     # first k
     ident_low, ident_high = _identity_image(m), _identity_image(k)
     compose_low, compose_high = Permutation._composer(m), Permutation._composer(k)
-    low_tbl, high_tbl = _operand(ident_low), _operand(ident_high)
-    nodes = ([_Node(m - 1 - t, identity, ident_low, low_tbl) for t in range(t0)]
-             + [_Node(m - 1 - t, identity, ident_high, high_tbl) for t in range(t0, m)])
+    low_inv, high_inv = _operand(ident_low), _operand(ident_high)
+    nodes = ([_Node(m - 1 - t, identity, ident_low, low_inv) for t in range(t0)]
+             + [_Node(m - 1 - t, identity, ident_high, high_inv) for t in range(t0, m)])
     at = nodes[::-1]  # at[p] is the level whose base point is position p
     strong: list[Permutation] = []
 
@@ -323,7 +323,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 tb = tbls[gi]
                 q = tb[p]
                 if q not in reps:
-                    reps[q] = Permutation._make(compose_n(reps[p]._img, gens_local[gi]._table()))
+                    reps[q] = Permutation._make(compose_n(reps[p]._img, _operand(gens_local[gi]._img)))
                     img = srep[q] = compose(srep[p], tb)
                     inv[q] = _inverse_operand(img)
                     pts.append(q)
@@ -356,9 +356,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             p -= 1
         return v, m - 1 - p
 
-    to_point, to_position = sigma_inv._img, sigma._table()
+    to_point, to_position = sigma_inv._img, _operand(sigma._img)
     for g in gens:
-        c = compose_n(compose_n(to_point, g._table()), to_position)
+        c = compose_n(compose_n(to_point, _operand(g._img)), to_position)
         if c[m:] != identity._img[m:]:
             p = min(set().union(*(h.support() for h in gens)) - chosen)
             raise ValueError(f"candidates do not cover moved point {p}")
@@ -397,7 +397,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             # back to all m positions, then to the original points
             c = _padded(res, m)
             back = compose_n(sigma._img, _operand(_padded(c, degree)))
-            attach(Permutation._make(compose_n(back, sigma_inv._table())), c, t + 1, j)
+            attach(Permutation._make(compose_n(back, _operand(sigma_inv._img))), c, t + 1, j)
             node.pending = pending[i:]
             t = j
             break
@@ -529,7 +529,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
             extra = min(reps.keys() - orbit)
             return f"level {t}: transversal point {extra} is not in the orbit of {b}"
         inverses = {q: u.inverse() for q, u in reps.items()}
-        if plan[t - 1][1] != {q - 1: v._table() for q, v in inverses.items()}:
+        if plan[t - 1][1] != {q - 1: _operand(v._img) for q, v in inverses.items()}:
             return f"level {t}: the inverse tables are not those of the representatives"
         for q, u in reps.items():
             for i, s in enumerate(gens, start=1):

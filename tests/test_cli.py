@@ -283,6 +283,49 @@ class TestUsageErrors:
                                             "--r", "2", "--s", "2", "--time-limit", limit],
                                    "--time-limit")
 
+    # int() and float() alone would take each of these: U+0662 and U+0663
+    # are ARABIC-INDIC DIGIT TWO and THREE, U+0661 U+0660 is ten
+    @pytest.mark.parametrize("argv, flag", [
+        (["randgen", "--inner", "C3", "--r", "\u0662", "--s", "2", "out.grp"], "--r"),
+        (["randgen", "--inner", "C3", "--r", "2", "--s", "1_0", "out.grp"], "--s"),
+        (["randgen", "--inner", "C3", "--r", "2", "--s", " 2", "out.grp"], "--s"),
+        (["randgen", "--inner", "C3", "--r", "2", "--s", "2", "--seed", "\u0663", "out.grp"],
+         "--seed"),
+        (["oracle", "--cap", "\u0663", "in.grp"], "--cap"),
+        (["bench", "--task", "decompose", "--inner", "C3", "--r", "2", "--s", "2",
+          "--reps", "\u0663"], "--reps"),
+        (["bench", "--task", "decompose", "--inner", "C3", "--r", "2,\u0663", "--s", "2"], "--r"),
+        (["bench", "--task", "decompose", "--inner", "C3", "--r", "2", "--s", "2",
+          "--time-limit", "\u0661\u0660"], "--time-limit"),
+    ], ids=["r", "s-underscore", "s-space", "seed", "cap", "reps", "bench-r", "time-limit"])
+    def test_flag_values_take_ascii_digits_only(self, tmp_path, monkeypatch, capsys, argv, flag):
+        def never(*args, **kwargs):
+            raise AssertionError("ran with a flag value not in ASCII digits")
+        for name in ("random_ddp_group", "run_benchmark", "brute_force_decompose"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        write_group_file("in.grp", 12, [parse_cycles(s, 12) for s in RUNNING])
+        self.assert_one_error_line(capsys, argv, flag)
+        assert [p.name for p in tmp_path.iterdir()] == ["in.grp"]
+
+    # r * s * degree(inner) points: a group file holds at most _MAX_DEGREE
+    @pytest.mark.parametrize("argv", [
+        ["randgen", "--inner", "C2", "--r", "5000001", "--s", "1", "out.grp"],
+        ["randgen", "--inner", "C2", "--r", "1", "--s", "5000001", "out.grp"],
+        ["bench", "--task", "decompose", "--inner", "C2", "--r", "1,5000001", "--s", "1",
+         "--reps", "1"],
+        ["bench", "--task", "decompose", "--inner", "C2", "--r", "1", "--s", "2,5000001",
+         "--reps", "1"],
+    ], ids=["randgen-r", "randgen-s", "bench-r", "bench-s"])
+    def test_instance_degree_above_the_maximum(self, tmp_path, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("started an instance above the maximum degree")
+        monkeypatch.setattr(cli, "random_ddp_group", never)
+        monkeypatch.setattr(cli, "run_benchmark", never)
+        monkeypatch.chdir(tmp_path)
+        self.assert_one_error_line(capsys, argv, f"maximum {_MAX_DEGREE}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_group_file(self, tmp_path, capsys):
         self.assert_one_error_line(capsys, ["randgen", "--inner", "C3", "--r", "2", "--s", "2",
                                             str(tmp_path / "missing" / "x.grp")], "cannot write")

@@ -694,3 +694,12 @@ class TestOrbitPartition:
     def test_cell_lookup(self):
         p = OrbitPartition([[1], [2, 3]])
         assert p.cell_of(3) == (2, 3) and p.max_index == 3
+
+    def test_equal_partitions_hash_equal(self):
+        p, q = OrbitPartition([[1], [2, 3]]), OrbitPartition([[3, 2], [1]])
+        assert p == q and hash(p) == hash(q)
+        assert {p, q, OrbitPartition([[1, 2, 3]])} == {q, OrbitPartition([[3, 1, 2]])}
+
+    def test_unequal_to_a_non_partition(self):
+        p = OrbitPartition([[1], [2, 3]])
+        assert p != ((1,), (2, 3)) and p != "{1}|{2,3}"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permdecomp import CycleFormatError, Permutation, format_cycles, parse_cycles
+from permdecomp.perm import _inverse_operand, _operand
 
 from oracles import tab, tab_compose, tab_inverse
 
@@ -45,6 +46,10 @@ class TestCompose:
         with pytest.raises(ValueError):
             perm("(1,2)", 2) * perm("(1,2)", 3)
 
+    def test_unequal_to_a_non_permutation(self):
+        g = perm("(1,2)", 2)
+        assert g != g._img and g != (2, 1) and g != "(1,2)"
+
 
 class TestInverse:
     def test_identity(self):
@@ -60,6 +65,19 @@ class TestInverse:
     @given(perms(9))
     def test_matches_table_oracle(self, g):
         assert tab(g.inverse()) == tab_inverse(tab(g))
+
+
+class TestOperand:
+    # one padding rule: a bytes operand is the image padded with fixed
+    # points, and the inverse's operand is built to equal it
+    @pytest.mark.parametrize("n", [1, 2, 100, 255, 256, 257, 300])
+    def test_inverse_operand_is_the_operand_of_the_inverse(self, n):
+        g = Permutation(shuffled(n))
+        inv = _inverse_operand(g._img)
+        assert inv == _operand(g.inverse()._img)
+        assert Permutation._composer(n)(g._img, inv) == Permutation.identity(n)._img
+        if n <= 256:
+            assert _operand(g._img)[n:] == bytes(range(n, 256))
 
 
 class TestImage:
@@ -145,6 +163,10 @@ class TestCycleNotation:
     def test_parse_running_example(self):
         g = parse_cycles(X1, 12)
         assert g.image(1) == 2 and g.image(7) == 9 and g.image(10) == 12
+
+    def test_repr_names_the_degree(self):
+        assert repr(perm("(1,2,3)", 5)) == "Permutation[(1,2,3), degree=5]"
+        assert repr(Permutation.identity(300)) == "Permutation[(), degree=300]"
 
     def test_identity_text(self):
         assert parse_cycles("()", 5).is_identity()

@@ -26,6 +26,7 @@ from permdecomp import (
     random_element,
     sift,
 )
+from permdecomp.perm import _operand
 from permdecomp.stabchain import audit_chain
 
 from oracles import closure, nielsen_mix, on_points, tab
@@ -64,6 +65,10 @@ class TestComputeOrbits:
         s = compute_orbits(running_gens(), 12)
         assert s.support() == frozenset(range(1, 13))
 
+    def test_repr_names_the_degree(self):
+        s = compute_orbits([parse_cycles("(1,3)", 4)], 4)
+        assert repr(s) == "OrbitStructure(degree=4, orbits=((1, 3),), fixed=(2, 4))"
+
 
 class TestBuildChain:
     def test_d10_smallest_moved_base(self):
@@ -76,6 +81,13 @@ class TestBuildChain:
     def test_trivial_group(self):
         chain = build_chain([], 4)
         assert chain.base == () and chain.order == 1
+
+    def test_reprs(self):
+        chain = build_chain(d10_gens(), 5)
+        assert repr(chain) == "StabilizerChain(degree=5, base=(1, 2), order=10)"
+        assert [repr(level) for level in chain.levels] == [
+            "TransversalLevel(base_point=1, orbit_size=5)",
+            "TransversalLevel(base_point=2, orbit_size=2)"]
 
     def test_running_example_orbit_ordered(self):
         handle = running_handle()
@@ -587,8 +599,8 @@ class TestAuditChain:
     def test_inverse_tables_of_other_representatives(self):
         chain = running_handle().chain
         reps = chain.levels[0].coset_reps
-        swapped = {0: reps[2].inverse()._table(), 1: reps[1].inverse()._table(),
-                   2: reps[3].inverse()._table()}
+        swapped = {0: _operand(reps[2].inverse()._img), 1: _operand(reps[1].inverse()._img),
+                   2: _operand(reps[3].inverse()._img)}
         chain = _replace_level(chain, 1, inverse_tables=swapped)
         assert audit_chain(chain, []) == \
             "level 1: the inverse tables are not those of the representatives"
