@@ -25,9 +25,18 @@ lies in H|_K.  H|_K depends on K alone, so one call builds each component's
 exact chain once, from the input generators that move K restricted to K,
 and every node and orbit pair with that component reuses it.  A node finds
 its components on its first membership test, so a node whose generators
-each act inside one side costs neither components nor a chain.  The
-pairs-first pass asks the same question of each two-orbit restriction whose
-orbits are not yet glued.
+each act inside one side costs neither components nor a chain.
+
+Each restriction is sifted once per component.  g|_T is g restricted to
+the orbits of g in T, since g fixes every other point, so it depends only
+on g and that orbit subset.  One call keeps the answer for each (component
+K, generator g, orbit subset), and every later bipartition, node or pair
+with that component reads it.  This is exact, since an element supported
+in K lies in H|_C exactly when it lies in H|_K.  The pairs-first pass
+asks the same question of each two-orbit restriction whose orbits some
+generator moves together and are not yet glued.  Every other pair splits
+without a test, and the glued units are the classes of the pairs that do
+not split, so skipping those pairs changes no unit.
 :func:`verify_decomposition` keeps the order argument (the cell restriction
 orders multiply to |H|) on fresh chains, as a check independent of the
 search.
@@ -108,39 +117,49 @@ def _component_chain(handle: GroupHandle, moved,
                        handle.degree, support)
 
 
-def _node(handle: GroupHandle, moved, key: frozenset[int], chains: dict):
+def _node(handle: GroupHandle, moved, key: frozenset[int], chains: dict, answers: dict):
     """The restriction of the group to the orbit subset ``key``: the input
     generators that move it, each with the orbits of ``key`` it moves, and a
-    membership test ``member(orbits, x)`` for an element x supported in the
-    component that contains ``orbits``.
+    membership test ``member(g, part)``: whether g restricted to the orbits
+    ``part``, some of the orbits of ``key`` that g moves, lies in the node
+    group.
 
     The components are found on the first test.  A test sifts through the
-    exact chain of H|_K for its component K, which ``chains`` (one dict per
-    search, keyed by orbit set) builds on first use and shares with every
-    other node.  This is exact: the node group is the direct product of its
-    restrictions to its components, so an element supported in K lies in it
-    iff it lies in H|_K."""
+    exact chain of H|_K for the component K that contains ``part``, which
+    ``chains`` (one dict per search, keyed by orbit set) builds on first use
+    and shares with every other node.  This is exact: the node group is the
+    direct product of its restrictions to its components, so an element
+    supported in K lies in it iff it lies in H|_K.  g|_part depends on g and
+    ``part`` alone, so ``answers`` (one dict per search) keeps the answer
+    for each (K, g, part), and each is sifted once per component."""
     profile = [(g, orbits & key) for g, orbits in moved if orbits & key]
     component_of = None
 
-    def member(orbits: frozenset[int], x: Permutation) -> bool:
+    def member(g: Permutation, part: frozenset[int]) -> bool:
         nonlocal component_of
         if component_of is None:
             component_of = _components(profile)
-        component = component_of[next(iter(orbits))]
-        chain = chains.get(component)
-        if chain is None:
-            chain = chains[component] = _component_chain(handle, moved, component)
-        return is_member(chain, x)
+        component = component_of[next(iter(part))]
+        question = (component, g, part)
+        answer = answers.get(question)
+        if answer is None:
+            chain = chains.get(component)
+            if chain is None:
+                chain = chains[component] = _component_chain(handle, moved, component)
+            orbit = handle.orbit_structure.orbit
+            x = g.restrict([p for j in part for p in orbit(j)])
+            answer = answers[question] = is_member(chain, x)
+        return answer
     return profile, member
 
 
-def _splits(profile, member, left: frozenset[int], structure) -> bool:
+def _splits(profile, member, left: frozenset[int]) -> bool:
     """Whether the node group H|_C is H|_T x H|_{C\\T} for T the union of
-    the orbits in ``left``: every generator moving orbits on both sides,
-    restricted to T (a union of orbits, so invariant), lies in H|_C."""
-    left_support = [p for j in left for p in structure.orbit(j)]
-    return all(member(orbits, g.restrict(left_support)) for g, orbits in profile
+    the orbits in ``left``: every generator g moving orbits on both sides,
+    restricted to T (a union of orbits, so invariant), lies in H|_C.  The
+    test passes the orbits of g in T, not the restricted element, so
+    ``member`` can answer a restriction it has decided before."""
+    return all(member(g, orbits & left) for g, orbits in profile
                if not orbits <= left and orbits & left)
 
 
@@ -150,7 +169,7 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, chains: dict,
-           deadline: float | None) -> list[tuple[int, ...]]:
+           answers: dict, deadline: float | None) -> list[tuple[int, ...]]:
     """The finest cells of the union of the units in ``current``: the first
     valid bipartition of the units, in order of increasing smaller side,
     with each side split again."""
@@ -159,7 +178,7 @@ def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, cha
         return [indices]
     # one node per recursion step; a component chain is read only when a
     # candidate bipartition leaves a generator moving both halves
-    profile, member = _node(handle, moved, frozenset(indices), chains)
+    profile, member = _node(handle, moved, frozenset(indices), chains, answers)
     for size in range(1, len(current) // 2 + 1):
         for chosen in combinations(range(len(current)), size):
             _check_deadline(deadline)
@@ -168,12 +187,12 @@ def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, cha
             if 2 * size == len(current) and chosen[0] != 0:
                 continue
             left = frozenset(j for idx in chosen for j in current[idx])
-            if _splits(profile, member, left, handle.orbit_structure):
+            if _splits(profile, member, left):
                 chosen_set = set(chosen)
                 picked = tuple(current[idx] for idx in chosen)
                 rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)
-                return (_split(picked, handle, moved, chains, deadline)
-                        + _split(rest, handle, moved, chains, deadline))
+                return (_split(picked, handle, moved, chains, answers, deadline)
+                        + _split(rest, handle, moved, chains, answers, deadline))
     return [indices]
 
 
@@ -212,25 +231,31 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
     # move it, and a split test sifts only those moving both sides
     moved = [(g, frozenset(structure.orbit_of_point(p + 1) for p, q in enumerate(g._img)
                            if p != q)) for g in handle.generators]
-    # the component chains of this search, shared by the pairs pass and the
-    # recursion; nothing outlives the call
+    # the component chains of this search and the answers of its split
+    # tests, keyed by (component, generator, orbit subset), shared by the
+    # pairs pass and the recursion; nothing outlives the call
     chains: dict[frozenset[int], StabilizerChain] = {}
+    answers: dict[tuple, bool] = {}
 
     # every orbit starts as a unit of its own; the pairs pass tests each pair
-    # of orbits in different units and glues the units of a pair whose
-    # restriction does not split
+    # of orbits that some generator moves together and that lie in different
+    # units, and glues the units of a pair whose restriction does not split.
+    # Any other pair's restriction splits without a test (no generator moves
+    # both orbits), and the glued units are the components of the graph of
+    # non-splitting pairs, so those pairs glue nothing
     unit_of = {j: (j,) for j in range(1, k + 1)}
     if pairs_first:
-        for a, b in combinations(range(1, k + 1), 2):
+        linked = {pair for _, orbits in moved for pair in combinations(sorted(orbits), 2)}
+        for a, b in sorted(linked):
             if b in unit_of[a]:
                 continue
             _check_deadline(deadline)
-            if not _splits(*_node(handle, moved, frozenset((a, b)), chains),
-                           frozenset((a,)), structure):
+            if not _splits(*_node(handle, moved, frozenset((a, b)), chains, answers),
+                           frozenset((a,))):
                 glued = tuple(sorted({*unit_of[a], *unit_of[b]}))
                 unit_of.update(dict.fromkeys(glued, glued))
     units = sorted(set(unit_of.values()))
-    return OrbitPartition(_split(tuple(units), handle, moved, chains, deadline))
+    return OrbitPartition(_split(tuple(units), handle, moved, chains, answers, deadline))
 
 
 def is_ddp_indecomposable(handle: GroupHandle) -> bool:

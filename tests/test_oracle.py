@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,45 @@ def built_chains(monkeypatch):
 def cell_points(handle, partition):
     return {frozenset(p for j in cell for p in handle.orbit_structure.orbit(j))
             for cell in partition.cells}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the oracle's split tests (``splits``), its membership sifts
+    (``sifts``) and the split tests made before the recursion is first
+    entered (``before_recursion``, None until then).  A test resets them
+    once its instance is generated."""
+    counts = reset({})
+    splits, is_member, split = (oracle_module._splits, oracle_module.is_member,
+                                oracle_module._split)
+
+    def counting_splits(*args):
+        counts["splits"] += 1
+        return splits(*args)
+
+    def counting_is_member(*args):
+        counts["sifts"] += 1
+        return is_member(*args)
+
+    def noting_split(*args):
+        if counts["before_recursion"] is None:
+            counts["before_recursion"] = counts["splits"]
+        return split(*args)
+
+    monkeypatch.setattr(oracle_module, "_splits", counting_splits)
+    monkeypatch.setattr(oracle_module, "is_member", counting_is_member)
+    monkeypatch.setattr(oracle_module, "_split", noting_split)
+    return counts
+
+
+def reset(counts):
+    counts.update(splits=0, sifts=0, before_recursion=None)
+    return counts
+
+
+def moved_orbits(handle, g):
+    structure = handle.orbit_structure
+    return {structure.orbit_of_point(p) for p in range(1, handle.degree + 1) if g.image(p) != p}
 
 
 PAIRS_FIRST_INSTANCES = [(dihedral(8), 2, 2, 1), (dihedral(8), 2, 2, 2), (dihedral(8), 2, 2, 3),
@@ -249,6 +289,44 @@ class TestBruteForce:
                 assert len(set(built_chains)) == len(built_chains)
             assert decompose(gens, H.degree).partition == expected
         assert audited_chains
+
+
+# acceptance criterion 7's instances (A4 s=4, searched without the pairs
+# pass) and the number of split tests each makes: one per candidate
+# bipartition, so the stored answers must leave it as it is
+CRITERION_7_SPLIT_TESTS = {(4, 1): 1349, (4, 2): 1678, (4, 3): 1648,
+                           (8, 1): 17513, (8, 2): 21214, (8, 3): 20973}
+
+
+class TestStoredAnswers:
+    @pytest.mark.parametrize(("r", "seed"), sorted(CRITERION_7_SPLIT_TESTS))
+    def test_same_search_with_each_restriction_sifted_once(self, counted, r, seed):
+        H, expected = random_ddp_group(RandomInstanceSpec(alternating(4), r, 4, seed))
+        reset(counted)
+        assert brute_force_decompose(H, cap=40) == expected
+        assert counted["splits"] == CRITERION_7_SPLIT_TESTS[r, seed]
+        # each generator acts inside one cell, and every node is a union of
+        # cells, so a generator's component is always its cell: a sift
+        # decides one proper restriction of g to a set of its orbits, and g
+        # has 2^|orbits(g)| - 2 of them (sifting each test's restrictions
+        # afresh makes 1,668-30,708 sifts here)
+        bound = sum(2 ** len(moved_orbits(H, g)) - 2 for g in H.generators)
+        assert 0 < counted["sifts"] <= bound
+
+    def test_pairs_pass_tests_only_linked_pairs(self, counted):
+        # the oracle benchmark's D8 s=4 r=8 base group: 32 orbits, so 496
+        # pairs, but each generator acts inside one 4-orbit cell, so at most
+        # 8 * 6 = 48 pairs are moved together by some generator
+        H, expected = random_ddp_group(RandomInstanceSpec(by_name("D8"), 8, 4,
+                                                          seed=2004_11618 + 2))
+        assert H.orbit_structure.k == 32
+        linked = {pair for g in H.generators
+                  for pair in combinations(sorted(moved_orbits(H, g)), 2)}
+        assert len(linked) <= 48
+        reset(counted)
+        assert brute_force_decompose(H, cap=40, pairs_first=True) == expected
+        assert 0 < counted["before_recursion"] <= len(linked)
+        assert brute_force_decompose(H, cap=40, pairs_first=False) == expected
 
 
 class TestIndecomposable:
@@ -402,3 +480,34 @@ class TestOracleAgreement:
             assert fast == brute_force_decompose(h)
             assert verify_decomposition(h, fast)
         assert audited_chains
+
+    def test_block_groups(self):
+        # each generator permutes the points inside some of the group's
+        # random blocks, so one generator spans several cells and a pair
+        # node's component can be larger than its cell
+        rng = random.Random(2004_11618)
+        spanning = 0
+        for _ in range(300):
+            degree = rng.randint(2, 14)
+            points = rng.sample(range(1, degree + 1), degree)
+            blocks, i = [], 0
+            while i < degree:
+                size = rng.randint(2, 4)
+                blocks.append(points[i:i + size])
+                i += size
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                images = list(range(1, degree + 1))
+                for block in rng.sample(blocks, rng.randint(1, len(blocks))):
+                    for p, q in zip(block, rng.sample(block, len(block))):
+                        images[p - 1] = q
+                gens.append(Permutation(images))
+            h = GroupHandle.from_generators(gens, degree)
+            fast = decompose_handle(h, verify=True).partition
+            for pairs_first in (False, True):
+                assert brute_force_decompose(h, cap=h.orbit_structure.k,
+                                             pairs_first=pairs_first) == fast
+            assert verify_decomposition(h, fast)
+            cell_of = {j: c for c, cell in enumerate(fast.cells) for j in cell}
+            spanning += any(len({cell_of[j] for j in moved_orbits(h, g)}) > 1 for g in gens)
+        assert spanning >= 50
