@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
+from .groupfile import _MAX_DEGREE, parse_group_text
 from .perm import Permutation
 from .stabchain import GroupHandle
 
@@ -75,8 +76,6 @@ def bundled_group_names() -> list[str]:
 
 def load_bundled_group(name: str) -> GroupHandle:
     """Load one of the bundled group files by name (without extension)."""
-    from .groupfile import parse_group_text
-
     text = resources.files("permdecomp.data").joinpath(f"{name}.grp").read_text("utf-8")
     degree, gens = parse_group_text(text)
     return GroupHandle.from_generators(gens, degree)
@@ -85,10 +84,18 @@ def load_bundled_group(name: str) -> GroupHandle:
 def by_name(name: str) -> GroupHandle:
     """Look up a group by a short name: C<n>, D<order>, A<n>, S<n>, or the
     name of a bundled group file.  A family name with a bad parameter raises
-    ValueError; any other name raises UnknownGroupName."""
+    ValueError, and so does one whose degree (n, or order/2 for D) exceeds
+    the maximum of a group file, before anything is built: each generator
+    would be a table of that many entries.  Any other name raises
+    UnknownGroupName."""
     match = _NAME_RE.fullmatch(name.strip())
     if match:
-        family, num = match.group(1), int(match.group(2))
+        family, digits = match.group(1), match.group(2).lstrip("0") or "0"
+        # digits are counted first, so a digit flood never reaches int()
+        limit = 2 * _MAX_DEGREE if family == "D" else _MAX_DEGREE
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise ValueError(f"the degree exceeds the maximum {_MAX_DEGREE}")
+        num = int(digits)
         if family == "C":
             return cyclic(num)
         if family == "D":

@@ -1,5 +1,7 @@
 """Ground-truth machinery: brute-force finest decomposition, decomposition
-verification, indecomposability testing and a random instance generator.
+verification, indecomposability testing and a random instance generator,
+which decides each copy's surjectivity on the elements it draws for that
+copy and builds a group only for a draw that passes.
 
 The brute-force search follows the classic exponential recipe: try all
 bipartitions of the orbit set in order of increasing size of the smaller
@@ -267,12 +269,12 @@ def is_ddp_indecomposable(handle: GroupHandle) -> bool:
     return len(brute_force_decompose(handle).cells) == 1
 
 
-def _direct_sum(parts: Sequence[Permutation], degree: int) -> Permutation:
-    # parts placed on consecutive point ranges, identity beyond
-    table: list[int] = []
+def _direct_sum(parts: Sequence[Permutation], degree: int, offset: int = 0) -> Permutation:
+    # parts placed on consecutive point ranges from offset + 1, identity elsewhere
+    table = list(range(1, offset + 1))
     for g in parts:
-        offset = len(table)
-        table.extend(g.image(p) + offset for p in range(1, g.degree + 1))
+        start = len(table)
+        table.extend(g.image(p) + start for p in range(1, g.degree + 1))
     table.extend(range(len(table) + 1, degree + 1))
     return Permutation(table)
 
@@ -282,9 +284,13 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
     """A random indecomposable subdirect product of s copies of a transitive
     group, each copy acting on its own shifted point range.
 
-    Draws i uniform in {2..s} (i = 1 when s = 1), generates the group by i
-    random elements of the s-fold product, and accepts iff the result is
-    indecomposable and surjects onto every copy.  Retries up to ``budget``
+    Draws i uniform in {2..s} (i = 1 when s = 1) and i random elements of
+    the s-fold product, as rows of s inner elements.  The projection onto
+    copy b is generated by the column-b elements, so surjectivity onto
+    every copy is decided on the drawn elements, with no handle built.  A
+    draw that surjects onto every copy acts transitively on each copy, so
+    its orbits are exactly the copies, in order.  Only such a draw becomes
+    a group, accepted iff it is indecomposable.  Retries up to ``budget``
     times before giving up.  Acceptance runs the brute-force oracle, whose
     cost grows exponentially with s, so s above ``DEFAULT_ORBIT_CAP`` raises
     OrbitCapExceeded before any candidate is drawn.
@@ -299,20 +305,14 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
                                "accepting a subdirect product runs the brute-force oracle")
     degree = s * d
     target = inner.order
-    blocks = [tuple(range(b * d + 1, (b + 1) * d + 1)) for b in range(s)]
     for _ in range(budget):
         i = 1 if s == 1 else rng.randint(2, s)
-        gens = [_direct_sum([random_element(inner.chain, rng) for _ in range(s)], degree)
-                for _ in range(i)]
-        candidate = GroupHandle.from_generators(gens, degree)
-        structure = candidate.orbit_structure
-        if structure.k != s or any(structure.orbit(b + 1) != blocks[b] for b in range(s)):
+        rows = [[random_element(inner.chain, rng) for _ in range(s)] for _ in range(i)]
+        if any(build_chain(column, d).order != target for column in zip(*rows)):
             continue
-        if any(restriction_order(candidate, (b,)) != target for b in range(1, s + 1)):
-            continue
-        if not is_ddp_indecomposable(candidate):
-            continue
-        return candidate
+        candidate = GroupHandle.from_generators([_direct_sum(row, degree) for row in rows], degree)
+        if is_ddp_indecomposable(candidate):
+            return candidate
     raise RetryBudgetExhausted(
         f"no acceptable subdirect product of {s} copies after {budget} attempts")
 
@@ -333,22 +333,16 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
     gens: list[Permutation] = []
     for t in range(r):
         factor = make_subdirect(spec.inner_group, s, rng)
-        offset = t * s * d
-        for g in factor.generators:
-            table = list(range(1, degree + 1))
-            for p in range(1, s * d + 1):
-                table[offset + p - 1] = g.image(p) + offset
-            gens.append(Permutation(table))
+        gens.extend(_direct_sum([g], degree, t * s * d) for g in factor.generators)
     # every point is moved (the inner group is transitive of degree >= 2),
     # so the scrambling permutation is uniform over all points
     points = list(range(1, degree + 1))
     rng.shuffle(points)
     sigma = Permutation(points)
-    conjugated = [g.conjugate(sigma) for g in gens]
-    handle = GroupHandle.from_generators(conjugated, degree)
+    sigma_inv = sigma.inverse()
+    handle = GroupHandle.from_generators([sigma_inv * g * sigma for g in gens], degree)
 
     # each orbit is sigma's image of a block of factor t, on points t*s*d+1..(t+1)*s*d
-    sigma_inv = sigma.inverse()
     cells: dict[int, list[int]] = {}
     for idx, orbit in enumerate(handle.orbit_structure.orbits, start=1):
         cells.setdefault((sigma_inv.image(orbit[0]) - 1) // (s * d), []).append(idx)

@@ -12,7 +12,8 @@ import pytest
 import permdecomp
 import permdecomp.apps as apps
 import permdecomp.cli as cli
-from permdecomp import GroupHandle, OrbitPartition, decompose_handle, parse_cycles
+from permdecomp import (GroupHandle, OrbitPartition, Permutation, decompose_handle,
+                        parse_cycles)
 from permdecomp.cli import main
 from permdecomp.decompose import decomposition_result
 from permdecomp.groupfile import (
@@ -322,6 +323,23 @@ class TestUsageErrors:
             raise AssertionError("started an instance above the maximum degree")
         monkeypatch.setattr(cli, "random_ddp_group", never)
         monkeypatch.setattr(cli, "run_benchmark", never)
+        monkeypatch.chdir(tmp_path)
+        self.assert_one_error_line(capsys, argv, f"maximum {_MAX_DEGREE}")
+        assert list(tmp_path.iterdir()) == []
+
+    # a family's degree (n, or order/2 for D) is checked before its
+    # generators are built: at the maximum plus two million, C12000000 ran
+    # out of memory under a 2 GB limit after ten seconds of allocation
+    @pytest.mark.parametrize("argv", [
+        ["randgen", "--inner", "C100000000000000000000", "--r", "1", "--s", "1", "out.grp"],
+        ["randgen", "--inner", "C12000000", "--r", "1", "--s", "1", "out.grp"],
+        ["bench", "--task", "decompose", "--inner", "A100000000000000000000", "--r", "1",
+         "--s", "1", "--reps", "1"],
+    ], ids=["randgen-digits", "randgen", "bench-digits"])
+    def test_family_degree_above_the_maximum(self, tmp_path, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("built a generator above the maximum degree")
+        monkeypatch.setattr(Permutation, "from_cycles", never)
         monkeypatch.chdir(tmp_path)
         self.assert_one_error_line(capsys, argv, f"maximum {_MAX_DEGREE}")
         assert list(tmp_path.iterdir()) == []
@@ -653,6 +671,16 @@ class TestBuiltinGroups:
         # U+0663 ARABIC-INDIC DIGIT THREE: the grammar C<n> takes ASCII digits
         with pytest.raises(UnknownGroupName):
             by_name("C\u0663")
+
+    @pytest.mark.parametrize("name", ["C10000001", "D20000002", "A10000001", "S10000001",
+                                      "S" + "9" * 5000],
+                             ids=["C", "D", "A", "S", "S-digits"])
+    def test_family_above_the_maximum_degree(self, monkeypatch, name):
+        def never(*args, **kwargs):
+            raise AssertionError("built a generator above the maximum degree")
+        monkeypatch.setattr(Permutation, "from_cycles", never)
+        with pytest.raises(ValueError, match=f"maximum {_MAX_DEGREE}"):
+            by_name(name)
 
     @pytest.mark.parametrize("family, n", [(cyclic, 1), (alternating, 2), (symmetric, 1)],
                              ids=["C1", "A2", "S1"])

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import time
@@ -22,6 +23,7 @@ from permdecomp import (
     decompose,
     decompose_handle,
     dihedral,
+    format_cycles,
     is_ddp_indecomposable,
     make_subdirect,
     parse_cycles,
@@ -434,6 +436,46 @@ class TestRandomDdpGroup:
         spec = RandomInstanceSpec(intrans, 2, 2, seed=1)
         with pytest.raises(ValueError, match="inner group must be transitive"):
             random_ddp_group(spec)
+
+    def test_grid_digest(self):
+        # the degree, generators and truth of 72 instances whose draws fail
+        # each way: an intransitive copy, a transitive copy that is too
+        # small, and a decomposable group.  Any change to the random stream
+        # or to an accept/reject decision changes the digest
+        digest = hashlib.sha256()
+        for inner in ("C3", "S3", "A4", "D8", "S4", "W2C8"):
+            handle = by_name(inner)
+            for r in (1, 2):
+                for s in (2, 3, 4):
+                    for seed in (0, 1):
+                        H, truth = random_ddp_group(RandomInstanceSpec(handle, r, s, seed))
+                        lines = [f"{inner} r={r} s={s} seed={seed} degree {H.degree}",
+                                 *map(format_cycles, H.generators),
+                                 repr([list(cell) for cell in truth.cells])]
+                        digest.update("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "72d6cfe67f015abad308bdba6124e6c053195bcaf324f746706b4de35e3e8922")
+
+    def test_handles_only_for_surjective_draws(self, monkeypatch):
+        # make_subdirect decides surjectivity on the drawn elements, so it
+        # builds a handle only for a draw that surjects onto every copy; the
+        # counts include each instance's own handle.  Building one for every
+        # draw, and one per copy to check it, made 641 and 2153
+        built = []
+        from_generators = GroupHandle.from_generators.__func__
+
+        def counting(cls, generators, degree):
+            built.append(degree)
+            return from_generators(cls, generators, degree)
+        inners = {name: by_name(name) for name in ("A4", "S4")}
+        monkeypatch.setattr(GroupHandle, "from_generators", classmethod(counting))
+        counts = {}
+        for name, inner in inners.items():
+            built.clear()
+            for seed in range(3):
+                random_ddp_group(RandomInstanceSpec(inner, 8, 4, seed))
+            counts[name] = len(built)
+        assert counts == {"A4": 113, "S4": 222}
 
     @pytest.mark.parametrize("name", ["random_ddp_A4_r2_s3", "random_ddp_D8_r17_s4"])
     def test_golden_instances(self, name):
