@@ -12,9 +12,16 @@ nothing runs at the whole group's degree.
 Both class-count paths share one kernel, :func:`count_conjugacy_classes`.
 It enumerates a handle at that handle's own degree, after moving a group
 that fixes some points onto its support (:meth:`GroupHandle.on_points`).
-Coset representatives and generators become raw images once per call, and
-elements and their conjugates stay raw images (see :mod:`permdecomp.perm`
-for the storage); no :class:`Permutation` is built per element.
+Coset representatives become right operands once per chain (the chain
+keeps them) and generators once per call; elements and their conjugates
+stay raw images (see :mod:`permdecomp.perm` for the storage), and no
+:class:`Permutation` is built per element.  :func:`iter_elements` forms
+the products of the chain levels in C, with ``itertools``, and the kernel
+stops enumerating as soon as every element lies in some class it has
+closed, so it often reads only part of the group.  Because of that stop,
+the kernel reads its deadline by the number of elements it has placed in
+classes, inside the conjugation search, not by the number it has
+enumerated.
 
 A small benchmark harness times the three phases (whole group,
 decomposition, per-factor) over random instances.  Limits are cooperative:
@@ -28,7 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product, starmap
 from math import prod
 from statistics import median
 from typing import Sequence
@@ -125,23 +132,23 @@ def derived_subgroup_via_ddpd(handle: GroupHandle,
 
 def iter_elements(handle: GroupHandle):
     """Yield every group element once, as a raw image at the handle's
-    degree: a product of one coset representative per chain level."""
+    degree: a product of one coset representative per chain level.
+
+    The products of the upper levels (all but the first) are built in C, by
+    ``itertools.starmap`` over ``itertools.product``, one list per level;
+    the first level's representatives are multiplied in lazily, so the
+    largest structure held is the upper levels' products, and a caller
+    that stops early builds no more of the group than it reads."""
     compose = Permutation._composer(handle.degree)
-    levels = [[_operand(r._img) for r in level.coset_reps.values()]
-              for level in handle.chain.levels]
+    levels = handle.chain._rep_operands()
     identity = _identity_image(handle.degree)
     if not levels:
         yield identity
         return
-    # depth first over the upper levels; the innermost one yields directly
-    stack = [(len(levels) - 1, identity)]
-    while stack:
-        t, acc = stack.pop()
-        if t == 0:
-            for rep in levels[0]:
-                yield compose(acc, rep)
-        else:
-            stack.extend((t - 1, compose(acc, rep)) for rep in levels[t])
+    acc = [identity]
+    for reps in levels[:0:-1]:
+        acc = list(starmap(compose, product(acc, reps)))
+    yield from starmap(compose, product(acc, levels[0]))
 
 
 def count_conjugacy_classes(handle: GroupHandle,
@@ -153,36 +160,55 @@ def count_conjugacy_classes(handle: GroupHandle,
     support (:meth:`GroupHandle.on_points`), so it is enumerated at the
     degree of the points it moves.  Everything runs on raw images: the
     elements come from :func:`iter_elements`, and a conjugate x^-1 h x is two
-    raw products, so no :class:`Permutation` is built per element.  Groups
-    larger than ``DEFAULT_ORDER_CAP`` raise OrderCapExceeded before any
-    enumeration; that is the signal to switch to the decomposed path.
+    raw products, so no :class:`Permutation` is built per element.
+    Enumeration stops once the classes found so far hold all
+    ``handle.order`` elements.  Groups larger than ``DEFAULT_ORDER_CAP``
+    raise OrderCapExceeded before any enumeration; that is the signal to
+    switch to the decomposed path.
+
+    ``deadline`` is a ``time.monotonic()`` value.  The clock is read before
+    the first conjugate is formed and again each time another 1,024
+    elements have been placed in classes, so a deadline that has passed
+    raises :class:`ComputationTimeout` however few elements the stop lets
+    the enumeration read.
     """
     structure = handle.orbit_structure
     if structure.k and structure.fixed_points:
         handle = GroupHandle.on_points(handle.generators, sorted(structure.support()))
     if handle.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(f"order {handle.order} exceeds cap {DEFAULT_ORDER_CAP}")
-    compose = Permutation._composer(handle.degree)
+    n = handle.degree
+    compose = Permutation._composer(n)
+    # a popped image becomes a right operand by one concatenation: the pad
+    # is empty for tuples, whose image is already the operand
+    pad = _operand(_identity_image(n))[n:]
     conjugators = [(x.inverse()._img, _operand(x._img)) for x in handle.generators]
+    order = handle.order
     seen: set = set()
+    add = seen.add
+    stack: list = []
+    pop, push = stack.pop, stack.append
     count = 0
-    processed = 0
+    check = 0  # the size of seen at which the clock is read next
     for g in iter_elements(handle):
-        processed += 1
-        if deadline is not None and processed % 1024 == 0 and time.monotonic() > deadline:
-            raise ComputationTimeout("class counting timed out")
         if g in seen:
             continue
         count += 1
-        stack = [g]
-        seen.add(g)
+        add(g)
+        push(g)
         while stack:
-            h = _operand(stack.pop())
+            if len(seen) >= check:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise ComputationTimeout("class counting timed out")
+                check += 1024
+            h = pop() + pad
             for x_inv, x in conjugators:
                 c = compose(compose(x_inv, h), x)
                 if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+                    add(c)
+                    push(c)
+        if len(seen) == order:
+            break
     return ClassCountReport(count)
 
 

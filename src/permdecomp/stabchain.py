@@ -22,7 +22,8 @@ first m - 256 levels of a chain with more than 256 candidates compose
 tuples.
 
 After construction a chain is immutable (it computes its levels' inverse
-tables on the first sift, always to the same values); orders are plain
+tables on the first sift, and its representatives' operands on the first
+draw or enumeration, always to the same values); orders are plain
 Python ints and therefore arbitrary precision.
 """
 
@@ -134,7 +135,7 @@ class StabilizerChain:
     """A complete stabilizer chain: base, transversals, strong generators
     and the group order."""
 
-    __slots__ = ("degree", "levels", "strong_generators", "order", "_plan")
+    __slots__ = ("degree", "levels", "strong_generators", "order", "_plan", "_reps")
 
     def __init__(self, degree: int, levels: Sequence[TransversalLevel],
                  strong_generators: Sequence[Permutation]):
@@ -146,6 +147,7 @@ class StabilizerChain:
             order *= len(level.coset_reps)
         self.order = order
         self._plan = None
+        self._reps = None
 
     def _sift_plan(self) -> list[tuple[int, dict[int, object]]]:
         # each level's 0-based base point, and q - 1 -> the table of the
@@ -156,6 +158,15 @@ class StabilizerChain:
                                                   for q, r in level.coset_reps.items()})
                           for level in self.levels]
         return self._plan
+
+    def _rep_operands(self) -> list[list[object]]:
+        # each level's coset representatives as right operands, in the
+        # order of coset_reps, for random_element and apps.iter_elements:
+        # computed on the first read, like the sift plan
+        if self._reps is None:
+            self._reps = [[_operand(r._img) for r in level.coset_reps.values()]
+                          for level in self.levels]
+        return self._reps
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -546,12 +557,12 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
 
 def random_element(chain: StabilizerChain, rng: random.Random) -> Permutation:
     """A uniformly distributed element: the product of one uniformly chosen
-    coset representative per level."""
-    g = Permutation.identity(chain.degree)
-    for level in reversed(chain.levels):
-        reps = list(level.coset_reps.values())
-        g = g * reps[rng.randrange(len(reps))]
-    return g
+    coset representative per level, composed as raw images."""
+    compose = Permutation._composer(chain.degree)
+    g = _identity_image(chain.degree)
+    for reps in reversed(chain._rep_operands()):
+        g = compose(g, reps[rng.randrange(len(reps))])
+    return Permutation._make(g)
 
 
 class GroupHandle:

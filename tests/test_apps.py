@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from permdecomp import (
+    ComputationTimeout,
     DerivedSubgroupReport,
     GroupHandle,
     OrderCapExceeded,
@@ -24,6 +25,7 @@ from permdecomp import (
     run_benchmark,
     symmetric,
 )
+import permdecomp.apps as apps_module
 import permdecomp.stabchain as stabchain_module
 from permdecomp.apps import _column, iter_elements
 from permdecomp.groups import by_name
@@ -192,6 +194,42 @@ class TestClassCounting:
     def test_cyclic_on_the_tuple_path(self, n):
         # the degree is above 256, so images are tuples
         assert count_conjugacy_classes(cyclic(n)).count == n
+
+    @pytest.mark.parametrize("n", [257, 300])
+    def test_enumeration_on_the_tuple_path(self, n):
+        # S4 x C3 at a tuple degree: a chain of several levels, so the
+        # upper levels' products are composed as tuples too
+        h = GroupHandle.from_generators(
+            [parse_cycles(c, n) for c in ("(1,2)", "(1,2,3,4)", f"({n - 2},{n - 1},{n})")], n)
+        elems = list(iter_elements(h))
+        assert len(h.chain.levels) > 1 and all(type(e) is tuple for e in elems)
+        assert len(elems) == h.order == 72 == len(set(elems))
+        assert ({tuple(x + 1 for x in e) for e in elems}
+                == closure([tab(g) for g in h.generators], n))
+
+    def test_stops_once_every_element_is_seen(self, monkeypatch):
+        # counted the way the benchmark's tracer counts: items yielded
+        enumerated = []
+        enumerate_all = apps_module.iter_elements
+
+        def counting(handle):
+            for g in enumerate_all(handle):
+                enumerated.append(g)
+                yield g
+
+        monkeypatch.setattr(apps_module, "iter_elements", counting)
+        assert count_conjugacy_classes(symmetric(7)).count == 15
+        assert 0 < len(enumerated) < 5040
+
+    @pytest.mark.parametrize("group", [symmetric, alternating], ids=["S7", "A7"])
+    @pytest.mark.parametrize("count", [count_conjugacy_classes,
+                                       count_conjugacy_classes_via_ddpd],
+                             ids=["whole", "via_ddpd"])
+    def test_expired_deadline_raises(self, group, count):
+        # the early stop reads few elements from the enumeration, so the
+        # clock is read in the conjugation search as well
+        with pytest.raises(ComputationTimeout):
+            count(group(7), deadline=time.monotonic() - 1)
 
     @pytest.mark.parametrize("inner, r, s, seed, count, per_factor", [
         ("S4", 3, 3, 2004_11618, 262144, (64, 64, 64)),
