@@ -180,12 +180,13 @@ class _Node:
     # builder-internal level for one candidate position, in the sweep's
     # coordinates (see build_chain): its images are those of the first m
     # positions, or from t0 on of the first m - t0, and base is its position
-    __slots__ = ("gens", "tbls", "reps", "srep", "inv", "pts",
+    __slots__ = ("gens", "tbls", "imgs", "reps", "srep", "inv", "pts",
                  "exp_pts", "exp_gens", "pending")
 
     def __init__(self, base: int, identity: Permutation, ident, ident_inv):
         self.gens: list[Permutation] = []  # level generators, in the original points
         self.tbls: list[object] = []      # their operands here, in step with gens
+        self.imgs: list[object] = []      # and their images here, unpadded
         # orbit point (a position) -> its representative, its image here, and
         # the inverse's operand here
         self.reps: dict[int, Permutation] = {base: identity}
@@ -194,7 +195,7 @@ class _Node:
         self.pts = [base]                 # orbit points in discovery order
         self.exp_pts = 0                  # orbit expansion frontier: pairs with
         self.exp_gens = 0                 # p_idx < exp_pts, g_idx < exp_gens done
-        self.pending: list = []           # Schreier pairs (point, operand) to verify
+        self.pending: list = []           # Schreier pairs (point, operand, image)
 
 
 def _dedup_generators(generators: Iterable[Permutation]) -> list[Permutation]:
@@ -246,6 +247,15 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     passes t0, and a residue leaves the sweep padded with fixed points.  Up
     to 256 candidates, t0 = 0 and every level has the one form, whatever
     the degree.
+
+    A Schreier pair (p, s) of level t needs a strip only when its Schreier
+    generator differs from s's own image in the level's form; each level
+    keeps those images next to its generators' operands.  A Schreier
+    generator of level t fixes level t's base point, so an s equal to it
+    fixes it too; s joined the levels up to the last position it moves,
+    which is below that base point, so s is a generator of level t+1 as
+    well.  Level t+1 is complete when level t is processed, so the strip
+    would end at the identity, and skipping it leaves the chain unchanged.
 
     The published chain is in the original points: each level's
     representatives are built next to their sweep images, a residue is
@@ -308,11 +318,14 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             for node in nodes[lo:min(hi + 1, t0)]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
+                node.imgs.append(c)
         if hi >= t0:
-            tbl = _operand(bytes(c[:k]) if t0 else c)
+            img = bytes(c[:k]) if t0 else c
+            tbl = _operand(img)
             for node in nodes[max(lo, t0):hi + 1]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
+                node.imgs.append(img)
 
     def extend_orbit(t: int) -> None:
         # grow the basic orbit in place (discovery order is stable, so the
@@ -342,8 +355,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         node.exp_pts = len(pts)
         node.exp_gens = ngens
         if len(pts) > 1:  # new points with all gens, then old ones with new gens
-            node.pending = ([(p, tb) for p in pts[ep:] for tb in tbls]
-                            + [(p, tb) for p in pts[:ep] for tb in tbls[eg:]])
+            pairs = list(zip(tbls, node.imgs))
+            node.pending = ([(p, tb, s) for p in pts[ep:] for tb, s in pairs]
+                            + [(p, tb, s) for p in pts[:ep] for tb, s in pairs[eg:]])
 
     def strip(v, t: int) -> tuple[object, int]:
         # sift v = c(x), in level t's form, through levels t+1..m-1 (positions
@@ -388,6 +402,11 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     # - an orbit point keeps its representative and inverse table once it
     #   is added, so a pair that sifted to the identity would take the same
     #   path again and add nothing;
+    # - a pair (p, s) whose Schreier generator equals s is verified without
+    #   a strip: s fixes level t's base point, since the Schreier generator
+    #   does, so the last position s moves is below it and attach put s on
+    #   level t+1 too.  That level is complete, so the strip would return
+    #   j == m, and the chain is the same pair for pair;
     # - the pair that produced the residue is not verified yet: it is
     #   checked again on resume, through the levels the residue joined.
     t = m - 1
@@ -397,12 +416,15 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             extend_orbit(t)
         pending, srep, inv = node.pending, node.srep, node.inv
         compose = compose_low if t < t0 else compose_high
-        for i, (p, tb) in enumerate(pending):
+        for i, (p, tb, s) in enumerate(pending):
             q = tb[p]
             prod = compose(srep[p], tb)
             if prod == srep[q]:  # every tree edge lands here
                 continue
-            res, j = strip(compose(prod, inv[q]), t)
+            sg = compose(prod, inv[q])
+            if sg == s:  # s lies in level t+1's group, which is complete
+                continue
+            res, j = strip(sg, t)
             if j == m:  # fixes every candidate, which cover the support
                 continue
             # back to all m positions, then to the original points
@@ -494,7 +516,8 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
        inverse tables that :func:`sift` reads are those of the
        representatives;
     4. each Schreier generator u_q * s * u_{q^s}^-1 of a level sifts to the
-       identity through the levels below.
+       identity through the levels below.  Equal elements sift alike, so
+       each distinct one is sifted once per level.
 
     By Schreier's lemma (Seress 2003, ch. 4), laws 3 and 4 make each level's
     group the product of the next level's group and the level's transversal,
@@ -542,13 +565,18 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
         inverses = {q: u.inverse() for q, u in reps.items()}
         if plan[t - 1][1] != {q - 1: _operand(v._img) for q, v in inverses.items()}:
             return f"level {t}: the inverse tables are not those of the representatives"
+        sifted = set()  # equal Schreier generators sift alike: each once
         for q, u in reps.items():
             for i, s in enumerate(gens, start=1):
                 us = u * s
                 target = us.image(b)
                 if us == reps[target]:
                     continue
-                failure = _sift_failure(chain, us * inverses[target], t + 1)
+                schreier = us * inverses[target]
+                if schreier in sifted:
+                    continue
+                sifted.add(schreier)
+                failure = _sift_failure(chain, schreier, t + 1)
                 if failure is not None:
                     return (f"level {t}: the Schreier generator of point {q} and "
                             f"generator {i} {failure}")

@@ -1,9 +1,11 @@
 import functools
 import hashlib
+import inspect
 import math
 import random
 import re
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -702,22 +704,33 @@ class TestLazyChain:
 
 
 def _strips(gens, degree, candidates):
-    """The chain ``build_chain`` returns, and how many times its sweep's
-    ``strip`` closure ran, counted by a profile hook."""
+    """The chain ``build_chain`` returns, and the level t at which each run
+    of its sweep's ``strip`` closure started, read by a profile hook."""
     code = next(c for c in build_chain.__code__.co_consts if getattr(c, "co_name", "") == "strip")
-    calls = 0
+    starts = []
 
     def profile(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code is code:
-            calls += 1
+            starts.append(frame.f_locals["t"])
 
     sys.setprofile(profile)
     try:
         chain = build_chain(gens, degree, candidates)
     finally:
         sys.setprofile(None)
-    return chain, calls
+    return chain, starts
+
+
+@functools.cache
+def _d8_s4(r, seed, mixed):
+    """D8 s=4 generators (after 2 * |gens| seeded Nielsen moves when
+    mixed), degree, orbit-ordered candidates and order."""
+    group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 4, seed=seed))
+    gens = list(group.generators)
+    if mixed:
+        gens = [Permutation(t) for t in
+                nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+    return gens, group.degree, orbit_ordered_candidates(group.orbit_structure), group.order
 
 
 class TestSchreierPairs:
@@ -725,23 +738,85 @@ class TestSchreierPairs:
     # D8 r=17 s=4 seed-1 group (degree 272, so t0 = 16), and wide's D8 s=4
     # r=18 group (degree 288, t0 = 32, grid seed 2004_11620) after 2 * |gens|
     # seeded Nielsen moves, whose residues re-descend across t0.  Each pair
-    # of a final level is stripped once, and once more after each residue it
-    # yields; a residue adds a point to the orbit of the last level it
-    # joins, and that point's tree edge is never stripped
-    @pytest.mark.parametrize("r, seed, mixed", [(16, 2004_11618, False), (17, 1, False),
-                                                (18, 2004_11620, True)],
+    # of a final level is stripped at most once, and once more after each
+    # residue it yields; a residue adds a point to the orbit of the last
+    # level it joins, and that point's tree edge is never stripped.  A pair
+    # whose Schreier generator equals its own generator is not stripped:
+    # 310, 321 and 2,548 strips, where stripping every pair that is not a
+    # tree edge makes 8,442, 9,742 and 11,877
+    @pytest.mark.parametrize("r, seed, mixed, bound", [(16, 2004_11618, False, 1000),
+                                                       (17, 1, False, 1000),
+                                                       (18, 2004_11620, True, 4000)],
                              ids=["wide-degree-256", "ci-degree-272", "wide-degree-288-mixed"])
-    def test_each_pair_is_verified_once(self, r, seed, mixed):
-        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), r, 4, seed=seed))
+    def test_each_pair_is_verified_once(self, r, seed, mixed, bound):
+        gens, degree, candidates, order = _d8_s4(r, seed, mixed)
+        chain, starts = _strips(gens, degree, candidates)
+        assert chain.order == order
+        assert len(starts) <= sum(len(level.coset_reps) * len(level.level_generators)
+                                  for level in chain.levels)
+        assert len(starts) < bound
+
+    # wide's plain degree-288 group (t0 = 32) still strips below t0 (130 of
+    # its 337 strips), so the traced wide run cuts a siftee as it passes t0
+    def test_a_strip_still_starts_below_t0(self):
+        gens, degree, candidates, order = _d8_s4(18, 2004_11620, False)
+        t0 = len(candidates) - 256
+        assert t0 == 32
+        chain, starts = _strips(gens, degree, candidates)
+        assert chain.order == order
+        assert any(t < t0 for t in starts)
+
+
+def _unskipped_build_chain():
+    """``build_chain`` without the sweep's skip of a pair whose Schreier
+    generator equals its own generator: every such pair is stripped."""
+    source = textwrap.dedent(inspect.getsource(build_chain))
+    skip = "if sg == s:"
+    assert source.count(skip) == 1
+    # residue_dropping_build_chain in test_decompose rewrites this line
+    assert source.count("if j == m:") == 1
+    namespace = dict(vars(stabchain_module))
+    exec(source.replace(skip, "if False:"), namespace)
+    return namespace["build_chain"]
+
+
+# the grid shapes of the benchmark's four workloads (inner, s, r, grid seed)
+WORKLOAD_SHAPES = [
+    # many-orbits
+    ("C2", 2, 50, 2004_11618), ("C3", 2, 42, 2004_11619), ("S3", 2, 36, 2004_11620),
+    ("D8", 2, 26, 2004_11621),
+    # wide
+    ("D8", 4, 16, 2004_11618), ("A4", 4, 16, 2004_11619), ("D8", 4, 18, 2004_11620),
+    # apps
+    ("S4", 3, 3, 2004_11618), ("A4", 4, 4, 2004_11619), ("D8", 4, 8, 2004_11620),
+    # oracle
+    ("A4", 4, 4, 2004_11618), ("D8", 4, 6, 2004_11619), ("D8", 4, 8, 2004_11620),
+]
+
+
+class TestSkippedSchreierPairs:
+    """A pair of level t whose Schreier generator equals its generator s
+    needs no strip: s fixes level t's base point, so it lies on level t+1,
+    which is complete, and the strip would end at the identity."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    @pytest.mark.parametrize("inner, s, r, seed", WORKLOAD_SHAPES,
+                             ids=[f"{i}-s{s}-r{r}-seed{seed}" for i, s, r, seed in WORKLOAD_SHAPES])
+    def test_the_skip_changes_no_chain(self, inner, s, r, seed, mixed):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
         gens = list(group.generators)
         if mixed:
             gens = [Permutation(t) for t in
                     nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
-        chain, strips = _strips(gens, group.degree,
-                                orbit_ordered_candidates(group.orbit_structure))
+        candidates = orbit_ordered_candidates(group.orbit_structure)
+        chain = build_chain(gens, group.degree, candidates)
+        unskipped = _unskipped_build_chain()(gens, group.degree, candidates)
         assert chain.order == group.order
-        assert strips <= sum(len(level.coset_reps) * len(level.level_generators)
-                             for level in chain.levels)
+        assert chain.base == unskipped.base
+        assert chain.strong_generators == unskipped.strong_generators
+        for level, other in zip(chain.levels, unskipped.levels, strict=True):
+            assert level.level_generators == other.level_generators
+            assert list(level.coset_reps.items()) == list(other.coset_reps.items())
 
 
 class TestOnPoints:
