@@ -45,6 +45,9 @@ print()
 for r in (4, 6, 8):
     row(alternating(4), "A4", r, 4)
 print()
-# the fast algorithm keeps scaling where the baseline is hopeless
+# the fast algorithm keeps scaling where the baseline is hopeless, past
+# 256 candidates too: at degree 512 the builder's first 256 levels act on
+# all 512 points
 row(alternating(4), "A4", 16, 4, oracle=False)
 row(dihedral(8), "D8", 20, 4, oracle=False)
+row(dihedral(8), "D8", 32, 4, oracle=False)

@@ -19,7 +19,8 @@ turn.  An element at level t fixes positions m-t..m-1, so from
 t0 = max(0, m - 256) on the builder keeps only its action on the first
 m - t0 positions, a slice that ``perm`` stores as ``bytes``: at most the
 first m - 256 levels of a chain with more than 256 candidates compose
-tuples.
+tuples, and those levels queue a Schreier pair only when its generator
+moves a point that the level's representatives move.
 
 After construction a chain is immutable (it computes its levels' inverse
 tables on the first sift, and its representatives' operands on the first
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from operator import ne
 from typing import Iterable, Sequence
 
 from .perm import (_MAX_BYTES_DEGREE, Permutation, _as_image, _identity_image,
@@ -180,13 +182,18 @@ class _Node:
     # builder-internal level for one candidate position, in the sweep's
     # coordinates (see build_chain): its images are those of the first m
     # positions, or from t0 on of the first m - t0, and base is its position
-    __slots__ = ("gens", "tbls", "imgs", "reps", "srep", "inv", "pts",
-                 "exp_pts", "exp_gens", "pending")
+    __slots__ = ("gens", "tbls", "imgs", "masks", "moved", "reps", "srep", "inv",
+                 "pts", "exp_pts", "exp_gens", "pending")
 
     def __init__(self, base: int, identity: Permutation, ident, ident_inv):
         self.gens: list[Permutation] = []  # level generators, in the original points
         self.tbls: list[object] = []      # their operands here, in step with gens
         self.imgs: list[object] = []      # and their images here, unpadded
+        # below t0 only: the positions each generator moves (byte i of the
+        # int is 1 when it moves position i), and the union of the masks of
+        # the generators that created representatives
+        self.masks: list[int] = []
+        self.moved = 0
         # orbit point (a position) -> its representative, its image here, and
         # the inverse's operand here
         self.reps: dict[int, Permutation] = {base: identity}
@@ -257,6 +264,26 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     well.  Level t+1 is complete when level t is processed, so the strip
     would end at the identity, and skipping it leaves the chain unchanged.
 
+    Below t0 such a pair is not even queued when its generator is inert on
+    the level.  Each generator of a level below t0 carries a mask of the
+    positions it moves, and the level keeps ``moved``, the union of the
+    masks of the generators that created its representatives.  Every
+    representative is a word in those generators, so its support lies in
+    ``moved``; so does the base point, which the first step of the orbit's
+    growth moves.  A generator s whose mask misses ``moved`` therefore
+    fixes every orbit point and commutes with every representative, so the
+    Schreier generator of (p, s) is u_p * s * u_p^-1 = s: a pair the
+    equality test would skip, but only after two m-wide products.  The
+    ``bytes`` levels queue every pair, since there a pair costs two
+    ``bytes.translate`` calls, less than the masks would.
+
+    After a residue found at level t joins levels t+1..j, the sweep jumps to
+    j and walks back down, past levels it has visited before.  A visited
+    level whose orbit is still a single point has gained only generators
+    that fix its base point: a generator that moves it joins it as its last
+    level, and the sweep jumps to that level at once.  Extending such a
+    level would add no point and queue no pair, so the sweep passes it.
+
     The published chain is in the original points: each level's
     representatives are built next to their sweep images, a residue is
     mapped back only when it joins the strong generators, and the chain
@@ -315,10 +342,12 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         strong.append(x)
         if lo < t0:
             tbl = _operand(c)
+            mask = int.from_bytes(bytes(map(ne, c, ident_low)), "little")
             for node in nodes[lo:min(hi + 1, t0)]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
                 node.imgs.append(c)
+                node.masks.append(mask)
         if hi >= t0:
             img = bytes(c[:k]) if t0 else c
             tbl = _operand(img)
@@ -331,13 +360,16 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         # grow the basic orbit in place (discovery order is stable, so the
         # frontier stays valid) and queue its new Schreier pairs.  A
         # singleton orbit queues none: its generators fix the point and join
-        # level t+1 too, so the level inherits completeness from level t+1
+        # level t+1 too, so the level inherits completeness from level t+1.
+        # Below t0, a pair (p, s) is queued only if s moves a position in
+        # moved, which holds every orbit point (see build_chain)
         node = nodes[t]
         pts, gens_local = node.pts, node.gens
         ep, eg = node.exp_pts, node.exp_gens
         ngens = len(gens_local)
         reps, srep, inv, tbls = node.reps, node.srep, node.inv, node.tbls
-        compose = compose_low if t < t0 else compose_high
+        low = t < t0
+        compose = compose_low if low else compose_high
         # old points with new generators, then every point from the old
         # frontier on (including ones appended just below) with all gens
         i = 0
@@ -351,13 +383,20 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                     img = srep[q] = compose(srep[p], tb)
                     inv[q] = _inverse_operand(img)
                     pts.append(q)
+                    if low:
+                        node.moved |= node.masks[gi]
             i += 1
         node.exp_pts = len(pts)
         node.exp_gens = ngens
         if len(pts) > 1:  # new points with all gens, then old ones with new gens
             pairs = list(zip(tbls, node.imgs))
-            node.pending = ([(p, tb, s) for p in pts[ep:] for tb, s in pairs]
-                            + [(p, tb, s) for p in pts[:ep] for tb, s in pairs[eg:]])
+            new, old = (pairs if len(pts) > ep else []), pairs[eg:]
+            if low:
+                moved = node.moved
+                new = [pair for pair, mask in zip(new, node.masks) if mask & moved]
+                old = [pair for pair, mask in zip(old, node.masks[eg:]) if mask & moved]
+            node.pending = ([(p, tb, s) for p in pts[ep:] for tb, s in new]
+                            + [(p, tb, s) for p in pts[:ep] for tb, s in old])
 
     def strip(v, t: int) -> tuple[object, int]:
         # sift v = c(x), in level t's form, through levels t+1..m-1 (positions
@@ -407,8 +446,17 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     #   does, so the last position s moves is below it and attach put s on
     #   level t+1 too.  That level is complete, so the strip would return
     #   j == m, and the chain is the same pair for pair;
+    # - below t0, a pair (p, s) whose s moves no position in the level's
+    #   moved set is never queued: s fixes every orbit point and commutes
+    #   with every representative, whose supports lie in that set, so its
+    #   Schreier generator is s, a pair the test above would skip;
     # - the pair that produced the residue is not verified yet: it is
     #   checked again on resume, through the levels the residue joined.
+    # The re-descent passes each visited level whose orbit is still a single
+    # point (exp_pts == 1), and marks its generators as seen: it gained only
+    # generators fixing its base point, since one that moves the base point
+    # joins the level as its last and the sweep jumps there at once, so
+    # extending it would add no point and queue no pair.
     t = m - 1
     while t >= 0:
         node = nodes[t]
@@ -437,6 +485,9 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         else:
             node.pending = []
             t -= 1
+            while t >= 0 and nodes[t].exp_pts == 1:  # a visited singleton
+                nodes[t].exp_gens = len(nodes[t].gens)
+                t -= 1
 
     # the published chain is in the original points; it computes its
     # levels' inverse tables from their representatives on the first sift

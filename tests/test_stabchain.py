@@ -10,6 +10,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permdecomp.perm as perm_module
 import permdecomp.stabchain as stabchain_module
 from permdecomp import (
     GroupHandle,
@@ -767,16 +768,23 @@ class TestSchreierPairs:
         assert any(t < t0 for t in starts)
 
 
+@functools.cache
 def _unskipped_build_chain():
-    """``build_chain`` without the sweep's skip of a pair whose Schreier
-    generator equals its own generator: every such pair is stripped."""
+    """``build_chain`` without the sweep's three skips: every pair whose
+    Schreier generator equals its own generator is stripped, every pair of
+    a level below t0 is queued whatever its generator moves, and the
+    re-descent extends each level it passes, settled singletons too."""
     source = textwrap.dedent(inspect.getsource(build_chain))
-    skip = "if sg == s:"
-    assert source.count(skip) == 1
+    skips = {"if sg == s:": ("if False:", 1),
+             " if mask & moved]": ("]", 2),
+             "while t >= 0 and nodes[t].exp_pts == 1:": ("while False:", 1)}
+    for skip, (unskipped, count) in skips.items():
+        assert source.count(skip) == count
+        source = source.replace(skip, unskipped)
     # residue_dropping_build_chain in test_decompose rewrites this line
     assert source.count("if j == m:") == 1
     namespace = dict(vars(stabchain_module))
-    exec(source.replace(skip, "if False:"), namespace)
+    exec(source, namespace)
     return namespace["build_chain"]
 
 
@@ -792,16 +800,22 @@ WORKLOAD_SHAPES = [
     # oracle
     ("A4", 4, 4, 2004_11618), ("D8", 4, 6, 2004_11619), ("D8", 4, 8, 2004_11620),
 ]
+# and D8 s=4 r=32 (degree 512, t0 = 256): as many levels hold tuples as bytes
+SKIP_SHAPES = WORKLOAD_SHAPES + [("D8", 4, 32, 1)]
 
 
 class TestSkippedSchreierPairs:
-    """A pair of level t whose Schreier generator equals its generator s
-    needs no strip: s fixes level t's base point, so it lies on level t+1,
-    which is complete, and the strip would end at the identity."""
+    """The sweep skips three kinds of work that could add nothing (see
+    build_chain): a pair of level t whose Schreier generator equals its
+    generator s, since s lies on level t+1, which is complete; a pair of a
+    level below t0 whose s moves no position that the level's
+    representatives or base point move, since its Schreier generator is s;
+    and a settled singleton level on a re-descent, whose new generators all
+    fix its base point."""
 
     @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
-    @pytest.mark.parametrize("inner, s, r, seed", WORKLOAD_SHAPES,
-                             ids=[f"{i}-s{s}-r{r}-seed{seed}" for i, s, r, seed in WORKLOAD_SHAPES])
+    @pytest.mark.parametrize("inner, s, r, seed", SKIP_SHAPES,
+                             ids=[f"{i}-s{s}-r{r}-seed{seed}" for i, s, r, seed in SKIP_SHAPES])
     def test_the_skip_changes_no_chain(self, inner, s, r, seed, mixed):
         group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
         gens = list(group.generators)
@@ -817,6 +831,26 @@ class TestSkippedSchreierPairs:
         for level, other in zip(chain.levels, unskipped.levels, strict=True):
             assert level.level_generators == other.level_generators
             assert list(level.coset_reps.items()) == list(other.coset_reps.items())
+
+    # wide's plain degree-288 group (t0 = 32) and D8 s=4 r=32 seed 1
+    # (degree 512, t0 = 256): 918 and 3,489 m-wide tuple products, where
+    # queueing every pair below t0 and revisiting settled singleton levels
+    # makes 6,152 and 55,593
+    @pytest.mark.parametrize("r, seed, bound", [(18, 2004_11620, 2000), (32, 1, 8000)],
+                             ids=["wide-degree-288", "degree-512"])
+    def test_tuple_products_below_t0(self, monkeypatch, r, seed, bound):
+        gens, degree, candidates, order = _d8_s4(r, seed, False)
+        products = []
+        compose_tuples = perm_module._compose_tuples
+
+        def counted(img, tbl):
+            products.append(None)
+            return compose_tuples(img, tbl)
+
+        # Permutation._composer reads the module global at each call
+        monkeypatch.setattr(perm_module, "_compose_tuples", counted)
+        assert build_chain(gens, degree, candidates).order == order
+        assert 0 < len(products) < bound
 
 
 class TestOnPoints:
