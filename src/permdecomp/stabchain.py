@@ -20,7 +20,12 @@ t0 = max(0, m - 256) on the builder keeps only its action on the first
 m - t0 positions, a slice that ``perm`` stores as ``bytes``: at most the
 first m - 256 levels of a chain with more than 256 candidates compose
 tuples, and those levels queue a Schreier pair only when its generator
-moves a point that the level's representatives move.
+moves a point that the level's representatives move.  From 128
+candidates on, generators that fall into two or more support components,
+none holding more than half of the candidates, are swept one component
+at a time, each on its own positions, and the results merge into the
+chain the one sweep builds; so a component of at most 256 points
+composes ``bytes`` inside any degree.
 
 After construction a chain is immutable (it computes its levels' inverse
 tables on the first sift, and its representatives' operands on the first
@@ -31,8 +36,9 @@ Python ints and therefore arbitrary precision.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from operator import ne
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .perm import (_MAX_BYTES_DEGREE, Permutation, _as_image, _identity_image,
@@ -216,6 +222,48 @@ def _dedup_generators(generators: Iterable[Permutation]) -> list[Permutation]:
     return out
 
 
+def _components(images: Sequence, m: int) -> list[tuple[int, list[int]]] | None:
+    """The support components of the images ``images`` of m indices: the
+    classes of the union-find that joins two images moving a common index,
+    each as the mask of the indices it moves (byte i is 1 when it moves
+    index i) and its images' positions in ``images``.  None when they form
+    one class, known at once when a class moves every index."""
+    ident = _identity_image(m)
+    as_ints = type(ident) is bytes
+    if as_ints:
+        ident = int.from_bytes(ident, "little")
+    every = int.from_bytes(b"\1" * m, "little")
+    parts: list[tuple[int, list[int]]] = []
+    for i, img in enumerate(images):
+        if as_ints:
+            # fold each byte of the xor onto its lowest bit
+            x = int.from_bytes(img, "little") ^ ident
+            x |= x >> 4
+            x |= x >> 2
+            x |= x >> 1
+            mask = x & every
+        else:
+            mask = int.from_bytes(bytes(map(ne, img, ident)), "little")
+        members = [i]
+        rest = []
+        for part in parts:
+            if part[0] & mask:
+                mask |= part[0]
+                members += part[1]
+            else:
+                rest.append(part)
+        if mask == every:
+            return None
+        rest.append((mask, members))
+        parts = rest
+    return parts if len(parts) > 1 else None
+
+
+# the fewest candidates at which build_chain looks for support components
+# (see build_chain)
+_SPLIT_CANDIDATES = 128
+
+
 def build_chain(generators: Sequence[Permutation], degree: int,
                 candidates: Sequence[int] | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims over a prescribed base-candidate sequence.
@@ -284,6 +332,47 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     level, and the sweep jumps to that level at once.  Extending such a
     level would add no point and queue no pair, so the sweep passes it.
 
+    The input generators fall into support components: the classes of the
+    union-find that joins two generators moving a common position, found
+    from one mask of moved positions per generator.  With two or more,
+    the sweep runs once per component, on that component's positions
+    relabelled 0..n-1 in order, so a component of at most 256 positions
+    composes ``bytes`` at any degree and only one of more than 256
+    reaches the tuple levels.  Each component costs a relabelling, a
+    sweep's set-up and its share of the merge, so the split needs at least
+    128 candidates (``_SPLIT_CANDIDATES``) and no component holding more
+    than half of them.  On plain inputs of 32 to 100 candidates in
+    components of 4 to 8 points the split was up to 37% slower (2-core
+    Xeon), while from 128 candidates on it won on every plain shape
+    measured; and a component that holds most candidates and generators
+    leaves few inert pairs to save (C2 s=2 r=50 after Nielsen moves falls
+    into components of 196 and 4 points, and read 8% slower split).
+    Smaller builds skip the search too.  The results merge into the chain
+    the one sweep over all positions builds:
+
+    - its levels are the components' levels, in candidate order;
+    - its strong generators are the input generators in input order, then
+      the residues by the floor at which each was found, highest level
+      first, and in their component's order within a floor.  A residue's
+      floor is the lowest level at which its component has found a
+      residue so far;
+    - each level's generators are the strong generators whose levels
+      contain it: an input generator joins levels 0..h, h the level of the
+      last candidate it moves, and a residue found at level t joins
+      levels t+1..j, j the level of the last candidate it moves, levels of
+      other components in between included.
+
+    This is exact.  A generator s of another component B fixes every
+    position of a component A and commutes with A's representatives, so on
+    A's levels it adds no orbit point, and each of its pairs there has
+    Schreier generator s, which the one sweep skips, or below t0 never
+    queues.  While the one sweep's lowest level reached is a level f of A,
+    every level above f is complete, and the levels of other components
+    gain only such inert generators; so every residue found meanwhile is
+    A's, and found in A's own order.  Each element keeps its identity: a
+    representative is the same product of the same generators, built in
+    the original points in either sweep.
+
     The published chain is in the original points: each level's
     representatives are built next to their sweep images, a residue is
     mapped back only when it joins the strong generators, and the chain
@@ -302,14 +391,111 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     if len(chosen) != len(candidates):
         raise ValueError("duplicate base candidates")
     m = len(candidates)
-    t0 = max(0, m - _MAX_BYTES_DEGREE)
-    k = m - t0
-    identity = Permutation.identity(degree)
     compose_n = Permutation._composer(degree)
     # sigma^-1 lists the candidates last to first, then the other points
     rest = [p for p in range(1, degree + 1) if p not in chosen]
     sigma_inv = Permutation._make(_as_image([p - 1 for p in candidates[::-1] + rest]))
     sigma = sigma_inv.inverse()
+    to_point, to_position = sigma_inv._img, _operand(sigma._img)
+    images = []
+    fixed = _identity_image(degree)[m:]
+    for g in gens:
+        c = compose_n(compose_n(to_point, _operand(g._img)), to_position)
+        if c[m:] != fixed:
+            p = min(set().union(*(h.support() for h in gens)) - chosen)
+            raise ValueError(f"candidates do not cover moved point {p}")
+        images.append(_as_image(c[:m]))
+    if len(gens) > 1 and m >= _SPLIT_CANDIDATES:
+        parts = _components(images, m)
+        if parts is not None and 2 * max(mask.bit_count() for mask, _ in parts) <= m:
+            return _merged(gens, images, parts, candidates, to_point, degree)
+
+    from_position = _operand(to_point)
+
+    def back(c):
+        # a residue's image of the m positions, in the original points
+        c = compose_n(sigma._img, _operand(_padded(c, degree)))
+        return Permutation._make(compose_n(c, from_position))
+
+    nodes, strong, _ = _sweep(gens, images, m, degree, back)
+    return StabilizerChain(degree, [
+        TransversalLevel(candidates[t], {candidates[m - 1 - q]: r for q, r in node.reps.items()},
+                         node.gens)
+        for t, node in enumerate(nodes) if len(node.pts) > 1], strong)
+
+
+def _merged(gens: list[Permutation], images: list, parts: list[tuple[int, list[int]]],
+            candidates: list[int], to_point, degree: int) -> StabilizerChain:
+    """:func:`build_chain`'s chain from one sweep per support component in
+    ``parts`` (see :func:`_components`), merged into the chain of the one
+    sweep over all m candidate positions; ``images`` are the generators'
+    images on those positions and ``to_point`` sends a position to its
+    0-based point."""
+    m = len(candidates)
+    # one sweep per component, on its positions in order; level t of a
+    # component of n positions is level m-1-positions[n-1-t] of the chain.
+    # order lists every point, each component's in one block, and lift
+    # gathers an image of the points from a row in that order
+    blocks = [list(compress(range(m), mask.to_bytes(m, "little"))) for mask, _ in parts]
+    order = [to_point[q] for positions in blocks for q in positions]
+    order = (*order, *sorted(set(range(degree)).difference(order)))
+    lift = itemgetter(*_inverse_operand(_as_image(order))[:degree])
+    levels = []
+    last = [0] * len(gens)  # each input generator's last level
+    residues = []           # (floor, residue, first level, last level)
+    start = 0
+    for (_, members), positions in zip(parts, blocks):
+        members.sort()
+        n = len(positions)
+        level_of = [m - 1 - q for q in reversed(positions)]
+        points = order[start:start + n]
+
+        def back(c, start=start, points=points):
+            # a residue's image of the component's positions, in the
+            # original points: its block of the row replaced
+            row = order[:start] + itemgetter(*c)(points) + order[start + len(c):]
+            return Permutation._make(_as_image(lift(row)))
+
+        start += n
+        own = [gens[i] for i in members]
+        nodes, found, spans = _sweep(
+            own, _relabel(map(Permutation._make, (images[i] for i in members)),
+                          [q + 1 for q in positions]),
+            n, degree, back)
+        for t, node in enumerate(nodes):
+            if len(node.pts) > 1:
+                levels.append((level_of[t], {points[q] + 1: r for q, r in node.reps.items()}))
+        for i, (_, j) in zip(members, spans):
+            last[i] = level_of[j]
+        floor = m
+        for x, (lo, j) in zip(found[len(own):], spans[len(own):]):
+            floor = min(floor, level_of[lo - 1])
+            residues.append((floor, x, level_of[lo - 1] + 1, level_of[j]))
+    residues.sort(key=lambda r: -r[0])  # stable: each floor is one component's
+    strong = gens + [x for _, x, _, _ in residues]
+    levels.sort(key=lambda level: level[0])
+    at = [t for t, _ in levels]
+    level_gens = [[] for _ in levels]
+    spans = [(0, j) for j in last] + [(lo, hi) for _, _, lo, hi in residues]
+    for x, (lo, hi) in zip(strong, spans):
+        for here in level_gens[bisect_left(at, lo):bisect_right(at, hi)]:
+            here.append(x)
+    return StabilizerChain(degree, [TransversalLevel(candidates[t], reps, level_gens[i])
+                                    for i, (t, reps) in enumerate(levels)], strong)
+
+
+def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
+           back) -> tuple[list[_Node], list[Permutation], list[tuple[int, int]]]:
+    """:func:`build_chain`'s sweep over the m positions of ``images``, the
+    input generators' images there, which the cover check has made
+    permutations of the m positions.  ``back`` maps a residue's image of
+    the m positions to its ``Permutation`` of degree ``degree``.  Returns
+    the levels (level t's base point is position m-1-t), the strong
+    generators, and the levels lo..hi that each strong generator joined."""
+    t0 = max(0, m - _MAX_BYTES_DEGREE)
+    k = m - t0
+    identity = Permutation.identity(degree)
+    compose_n = Permutation._composer(degree)
     # levels below t0 hold images of all m positions, the others of the
     # first k
     ident_low, ident_high = _identity_image(m), _identity_image(k)
@@ -319,6 +505,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
              + [_Node(m - 1 - t, identity, ident_high, high_inv) for t in range(t0, m)])
     at = nodes[::-1]  # at[p] is the level whose base point is position p
     strong: list[Permutation] = []
+    spans: list[tuple[int, int]] = []
 
     def last_moved(v, p: int, lo: int = 0, ident=ident_high) -> int:
         # the last index in [lo, p] where v differs from the identity, else
@@ -340,6 +527,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
         # x joins the strong generators and levels lo..hi, where c = c(x) on
         # all m positions and hi is the level of the last position it moves
         strong.append(x)
+        spans.append((lo, hi))
         if lo < t0:
             tbl = _operand(c)
             mask = int.from_bytes(bytes(map(ne, c, ident_low)), "little")
@@ -420,13 +608,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             p -= 1
         return v, m - 1 - p
 
-    to_point, to_position = sigma_inv._img, _operand(sigma._img)
-    for g in gens:
-        c = compose_n(compose_n(to_point, _operand(g._img)), to_position)
-        if c[m:] != identity._img[m:]:
-            p = min(set().union(*(h.support() for h in gens)) - chosen)
-            raise ValueError(f"candidates do not cover moved point {p}")
-        c = _as_image(c[:m])
+    for g, c in zip(gens, images):
         attach(g, c, 0, m - 1 - last_moved(c, m - 1, 0, ident_low))
 
     # verify levels bottom-up.  A level with no pending pairs is extended
@@ -477,8 +659,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 continue
             # back to all m positions, then to the original points
             c = _padded(res, m)
-            back = compose_n(sigma._img, _operand(_padded(c, degree)))
-            attach(Permutation._make(compose_n(back, _operand(sigma_inv._img))), c, t + 1, j)
+            attach(back(c), c, t + 1, j)
             node.pending = pending[i:]
             t = j
             break
@@ -489,16 +670,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
                 nodes[t].exp_gens = len(nodes[t].gens)
                 t -= 1
 
-    # the published chain is in the original points; it computes its
-    # levels' inverse tables from their representatives on the first sift
-    levels = []
-    for t, node in enumerate(nodes):
-        if len(node.pts) <= 1:
-            continue
-        levels.append(TransversalLevel(candidates[t],
-                                       {candidates[m - 1 - q]: r for q, r in node.reps.items()},
-                                       tuple(node.gens)))
-    return StabilizerChain(degree, levels, strong)
+    return nodes, strong, spans
 
 
 def orbit_ordered_candidates(structure: OrbitStructure) -> list[int]:
@@ -568,7 +740,10 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
        representatives;
     4. each Schreier generator u_q * s * u_{q^s}^-1 of a level sifts to the
        identity through the levels below.  Equal elements sift alike, so
-       each distinct one is sifted once per level.
+       each distinct one is sifted once per level.  The products are
+       formed on raw images, the inverses' from the tables that law 3 has
+       checked, and only a Schreier generator sifted becomes a
+       ``Permutation``.
 
     By Schreier's lemma (Seress 2003, ch. 4), laws 3 and 4 make each level's
     group the product of the next level's group and the level's transversal,
@@ -585,6 +760,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
         if failure is not None:
             return f"input generator {i} {failure}"
     base, plan = chain.base, chain._sift_plan()
+    compose = Permutation._composer(chain.degree)
     # each strong generator -> the first level whose base point it moves
     first_moved = {x: next((j for j, p in enumerate(base, start=1) if x.image(p) != p), None)
                    for x in chain.strong_generators}
@@ -613,21 +789,23 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
                 return f"level {t}: transversal misses point {missing[0]} of the orbit of {b}"
             extra = min(reps.keys() - orbit)
             return f"level {t}: transversal point {extra} is not in the orbit of {b}"
-        inverses = {q: u.inverse() for q, u in reps.items()}
-        if plan[t - 1][1] != {q - 1: _operand(v._img) for q, v in inverses.items()}:
+        tables = plan[t - 1][1]
+        if tables != {q - 1: _operand(u.inverse()._img) for q, u in reps.items()}:
             return f"level {t}: the inverse tables are not those of the representatives"
+        images = {q - 1: u._img for q, u in reps.items()}
+        operands = [_operand(s._img) for s in gens]
         sifted = set()  # equal Schreier generators sift alike: each once
         for q, u in reps.items():
-            for i, s in enumerate(gens, start=1):
-                us = u * s
-                target = us.image(b)
-                if us == reps[target]:
+            for i, tbl in enumerate(operands, start=1):
+                us = compose(u._img, tbl)
+                target = us[b - 1]
+                if us == images[target]:
                     continue
-                schreier = us * inverses[target]
+                schreier = compose(us, tables[target])
                 if schreier in sifted:
                     continue
                 sifted.add(schreier)
-                failure = _sift_failure(chain, schreier, t + 1)
+                failure = _sift_failure(chain, Permutation._make(schreier), t + 1)
                 if failure is not None:
                     return (f"level {t}: the Schreier generator of point {q} and "
                             f"generator {i} {failure}")

@@ -345,15 +345,19 @@ def instance_handle(instance):
 
 
 def residue_dropping_build_chain():
-    """``build_chain`` with one fault: once it holds more than 3·|gens|/2 + 2
-    strong generators it drops each further residue, so the Schreier pair
-    that produced it counts as checked and the chain can come out short."""
-    source = textwrap.dedent(inspect.getsource(build_chain))
+    """``build_chain`` with one fault in its sweep: once the sweep holds more
+    than 3·|gens|/2 + 2 strong generators it drops each further residue, so
+    the Schreier pair that produced it counts as checked and the chain can
+    come out short."""
+    source = textwrap.dedent(inspect.getsource(stabchain_module._sweep))
     sound = "if j == m:"
     assert source.count(sound) == 1
     namespace = dict(vars(stabchain_module))
     exec(source.replace(sound, "if j == m or len(strong) > 3 * len(gens) / 2 + 2:"),
          namespace)
+    # a build_chain and merge whose globals hold the faulty sweep
+    for function in (stabchain_module._merged, build_chain):
+        exec(textwrap.dedent(inspect.getsource(function)), namespace)
     return namespace["build_chain"]
 
 

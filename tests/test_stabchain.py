@@ -706,8 +706,10 @@ class TestLazyChain:
 
 def _strips(gens, degree, candidates):
     """The chain ``build_chain`` returns, and the level t at which each run
-    of its sweep's ``strip`` closure started, read by a profile hook."""
-    code = next(c for c in build_chain.__code__.co_consts if getattr(c, "co_name", "") == "strip")
+    of its sweep's ``strip`` closure started, read by a profile hook (the
+    sweep's own level: a component's, when the generators split)."""
+    code = next(c for c in stabchain_module._sweep.__code__.co_consts
+                if getattr(c, "co_name", "") == "strip")
     starts = []
 
     def profile(frame, event, arg):
@@ -757,15 +759,30 @@ class TestSchreierPairs:
                                   for level in chain.levels)
         assert len(starts) < bound
 
-    # wide's plain degree-288 group (t0 = 32) still strips below t0 (130 of
-    # its 337 strips), so the traced wide run cuts a siftee as it passes t0
+    # wide's degree-288 group (t0 = 32) after 2 * |gens| seeded Nielsen
+    # moves is one support component, so one sweep crosses t0: it strips
+    # below t0 (1,198 of its 2,548 strips) and cuts a siftee as it passes
+    # t0.  The plain group splits into components of 16 positions, whose
+    # sweeps never reach a tuple level
     def test_a_strip_still_starts_below_t0(self):
-        gens, degree, candidates, order = _d8_s4(18, 2004_11620, False)
+        gens, degree, candidates, order = _d8_s4(18, 2004_11620, True)
         t0 = len(candidates) - 256
         assert t0 == 32
         chain, starts = _strips(gens, degree, candidates)
         assert chain.order == order
         assert any(t < t0 for t in starts)
+
+
+def _rewritten_build_chain(sweep_source=None, source=None):
+    """``build_chain`` run from the given sources of its sweep and of
+    itself, each in place of the module's when given; its merge runs the
+    same sweep."""
+    namespace = dict(vars(stabchain_module))
+    for text in (sweep_source or inspect.getsource(stabchain_module._sweep),
+                 inspect.getsource(stabchain_module._merged),
+                 source or inspect.getsource(build_chain)):
+        exec(textwrap.dedent(text), namespace)
+    return namespace["build_chain"]
 
 
 @functools.cache
@@ -774,7 +791,7 @@ def _unskipped_build_chain():
     Schreier generator equals its own generator is stripped, every pair of
     a level below t0 is queued whatever its generator moves, and the
     re-descent extends each level it passes, settled singletons too."""
-    source = textwrap.dedent(inspect.getsource(build_chain))
+    source = inspect.getsource(stabchain_module._sweep)
     skips = {"if sg == s:": ("if False:", 1),
              " if mask & moved]": ("]", 2),
              "while t >= 0 and nodes[t].exp_pts == 1:": ("while False:", 1)}
@@ -783,9 +800,41 @@ def _unskipped_build_chain():
         source = source.replace(skip, unskipped)
     # residue_dropping_build_chain in test_decompose rewrites this line
     assert source.count("if j == m:") == 1
-    namespace = dict(vars(stabchain_module))
-    exec(source, namespace)
-    return namespace["build_chain"]
+    return _rewritten_build_chain(sweep_source=source)
+
+
+_SPLIT = "if len(gens) > 1 and m >= _SPLIT_CANDIDATES:"
+_BALANCED = "if parts is not None and 2 * max(mask.bit_count() for mask, _ in parts) <= m:"
+
+
+@functools.cache
+def _unsplit_build_chain():
+    """``build_chain`` that runs its one sweep over all candidate positions
+    whatever support components the generators fall into."""
+    source = inspect.getsource(build_chain)
+    assert source.count(_SPLIT) == 1
+    return _rewritten_build_chain(source=source.replace(_SPLIT, "if False:"))
+
+
+@functools.cache
+def _split_build_chain():
+    """``build_chain`` that sweeps each support component on its own
+    positions however few candidates there are and however large its
+    largest component."""
+    source = inspect.getsource(build_chain)
+    assert source.count(_SPLIT) == 1 and source.count(_BALANCED) == 1
+    return _rewritten_build_chain(source=source.replace(_SPLIT, "if len(gens) > 1:")
+                                  .replace(_BALANCED, "if parts is not None:"))
+
+
+def _assert_same_chain(chain, other):
+    """The same base, strong generators, and level generators and
+    representatives on each level, all in order."""
+    assert chain.base == other.base
+    assert chain.strong_generators == other.strong_generators
+    for level, same in zip(chain.levels, other.levels, strict=True):
+        assert level.level_generators == same.level_generators
+        assert list(level.coset_reps.items()) == list(same.coset_reps.items())
 
 
 # the grid shapes of the benchmark's four workloads (inner, s, r, grid seed)
@@ -824,33 +873,93 @@ class TestSkippedSchreierPairs:
                     nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
         candidates = orbit_ordered_candidates(group.orbit_structure)
         chain = build_chain(gens, group.degree, candidates)
-        unskipped = _unskipped_build_chain()(gens, group.degree, candidates)
         assert chain.order == group.order
-        assert chain.base == unskipped.base
-        assert chain.strong_generators == unskipped.strong_generators
-        for level, other in zip(chain.levels, unskipped.levels, strict=True):
-            assert level.level_generators == other.level_generators
-            assert list(level.coset_reps.items()) == list(other.coset_reps.items())
+        _assert_same_chain(chain, _unskipped_build_chain()(gens, group.degree, candidates))
 
-    # wide's plain degree-288 group (t0 = 32) and D8 s=4 r=32 seed 1
-    # (degree 512, t0 = 256): 918 and 3,489 m-wide tuple products, where
-    # queueing every pair below t0 and revisiting settled singleton levels
-    # makes 6,152 and 55,593
-    @pytest.mark.parametrize("r, seed, bound", [(18, 2004_11620, 2000), (32, 1, 8000)],
-                             ids=["wide-degree-288", "degree-512"])
+    # wide's degree-288 group (t0 = 32) and D8 s=4 r=32 seed 1 (degree 512,
+    # t0 = 256), each after 2 * |gens| seeded Nielsen moves, so that one
+    # sweep crosses t0: 7,101 and 62,430 tuple products, where the sweep
+    # without its three skips makes 8,880 and 104,640
+    @pytest.mark.parametrize("r, seed, bound", [(18, 2004_11620, 8000), (32, 1, 80000)],
+                             ids=["wide-degree-288-mixed", "degree-512-mixed"])
     def test_tuple_products_below_t0(self, monkeypatch, r, seed, bound):
-        gens, degree, candidates, order = _d8_s4(r, seed, False)
-        products = []
-        compose_tuples = perm_module._compose_tuples
-
-        def counted(img, tbl):
-            products.append(None)
-            return compose_tuples(img, tbl)
-
-        # Permutation._composer reads the module global at each call
-        monkeypatch.setattr(perm_module, "_compose_tuples", counted)
+        gens, degree, candidates, order = _d8_s4(r, seed, True)
+        products = _count_tuple_products(monkeypatch)
         assert build_chain(gens, degree, candidates).order == order
         assert 0 < len(products) < bound
+
+
+def _count_tuple_products(monkeypatch) -> list:
+    # Permutation._composer reads the module global at each call
+    products = []
+    compose_tuples = perm_module._compose_tuples
+
+    def counted(img, tbl):
+        products.append(None)
+        return compose_tuples(img, tbl)
+
+    monkeypatch.setattr(perm_module, "_compose_tuples", counted)
+    return products
+
+
+class TestSupportComponents:
+    """With two or more support components, build_chain sweeps each on its
+    own positions and merges the results into the chain of the one sweep
+    over all candidate positions (see build_chain)."""
+
+    # build_chain splits from 128 candidates on, into components of at
+    # most half of them, and the forced copy at any size and into any
+    # components, so the apps and oracle shapes (36 to 128 points) and the
+    # mixed generators that leave components of unequal size split too
+    @pytest.mark.parametrize("orbit_ordered", [True, False], ids=["orbit-ordered", "1..n"])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["plain", "mixed"])
+    @pytest.mark.parametrize("inner, s, r, seed", SKIP_SHAPES,
+                             ids=[f"{i}-s{s}-r{r}-seed{seed}" for i, s, r, seed in SKIP_SHAPES])
+    def test_the_split_changes_no_chain(self, inner, s, r, seed, mixed, orbit_ordered):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
+        gens = list(group.generators)
+        if mixed:
+            gens = [Permutation(t) for t in
+                    nielsen_mix([tab(g) for g in gens], random.Random(1), 2 * len(gens))]
+        candidates = orbit_ordered_candidates(group.orbit_structure) if orbit_ordered else None
+        one = _unsplit_build_chain()(gens, group.degree, candidates)
+        for build in (build_chain, _split_build_chain()):
+            chain = build(gens, group.degree, candidates)
+            assert chain.order == group.order
+            _assert_same_chain(chain, one)
+
+    # candidates in a seeded random order interleave the components' levels
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("inner, s, r", [("D8", 2, 3), ("S4", 3, 2), ("A4", 2, 4)])
+    def test_shuffled_candidates(self, inner, s, r, seed):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed=seed))
+        candidates = random.Random(seed).sample(range(1, group.degree + 1), group.degree)
+        chain = _split_build_chain()(group.generators, group.degree, candidates)
+        assert chain.order == group.order
+        _assert_same_chain(
+            chain, _unsplit_build_chain()(group.generators, group.degree, candidates))
+
+    # D8 s=4 r=64 seed 1: degree 1024, 64 components of 16 positions
+    @pytest.mark.parametrize("orbit_ordered", [True, False], ids=["orbit-ordered", "1..n"])
+    def test_degree_1024(self, orbit_ordered):
+        group, _ = random_ddp_group(RandomInstanceSpec(by_name("D8"), 64, 4, seed=1))
+        assert group.degree == 1024
+        candidates = orbit_ordered_candidates(group.orbit_structure) if orbit_ordered else None
+        chain = build_chain(group.generators, 1024, candidates)
+        assert chain.order == group.order
+        _assert_same_chain(chain, _unsplit_build_chain()(group.generators, 1024, candidates))
+
+    # wide's plain degree-288 group falls into 18 components of 16
+    # positions, each swept in bytes: the only tuple products left are the
+    # cover check's two per generator and one per representative built in
+    # the original points, 297 where the one sweep makes 918
+    def test_no_sweep_product_is_a_tuple(self, monkeypatch):
+        gens, degree, candidates, order = _d8_s4(18, 2004_11620, False)
+        products = _count_tuple_products(monkeypatch)
+        chain = build_chain(gens, degree, candidates)
+        assert chain.order == order
+        assert len(products) == 2 * len(gens) + sum(len(level.coset_reps) - 1
+                                                    for level in chain.levels)
 
 
 class TestOnPoints:
