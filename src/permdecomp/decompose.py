@@ -24,6 +24,16 @@ moves: an element fixing the prefix's base points fixes the prefix, and
 otherwise that orbit names its cell.  The rule holds only for elements of
 the group.
 
+That first moved base level is read once per position of the walk, not
+once per step, because it never changes along the walk.  An element that
+fixes the prefix's base points passes through a step unchanged.  A sifted
+element x becomes x * h^-1 with h in the pointwise stabilizer of orbits
+1..i, so the siftee agrees with x on those orbits; x moves a base point
+there, so the siftee moves the same base points of orbits 1..i, and the
+first of them is x's.  The walk therefore scans the base once for each
+strong generator, and every step reads the levels that the step before
+handed on with its elements.
+
 Both the walk and the oracle turn their partition into a result through
 :func:`decomposition_result`, which is also the certificate.  A factor is
 generated by the distinct nontrivial restrictions g|_c of the input
@@ -53,6 +63,8 @@ from .perm import Permutation, format_cycles
 from .stabchain import (
     GroupHandle,
     OrbitStructure,
+    StabilizerChain,
+    _first_moved_levels,
     audit_chain,
     is_member,
     pointwise_stabilizer_level,
@@ -159,17 +171,16 @@ def _check_step_index(handle: GroupHandle, i: int) -> None:
         raise ValueError(f"orbit prefix index {i} out of range 1..{k - 1}")
 
 
-def _first_moved_orbit(x: Permutation, base: Sequence[int],
-                       structure: OrbitStructure) -> int | None:
-    """Orbit index of the first point of ``base`` that x moves, or None if
-    x fixes them all.  For x in the group and ``base`` a prefix of its
-    orbit-ordered base, this is the smallest orbit x moves (see the module
-    docstring), or None if x fixes the orbits ``base`` reaches into."""
-    img = x._img
-    for b in base:
-        if img[b - 1] != b - 1:
-            return structure.orbit_of_point(b)
-    return None
+class _Walk(tuple):
+    """A step's elements, carrying each position's first moved base level
+    (``levels``) read against ``chain``.  A slice or a sum of such a tuple
+    is a plain tuple, which the next step scans afresh."""
+
+    def __new__(cls, elements, levels: tuple[int, ...], chain: StabilizerChain):
+        walk = super().__new__(cls, elements)
+        walk.levels = levels
+        walk.chain = chain
+        return walk
 
 
 def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
@@ -182,6 +193,12 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
     m's siftee by the prefix stabilizer (the chain tail), or element m itself
     when it fixes orbits 1..i.  A siftee moving orbit i+1 marks for merging
     with {i+1} the cell of the smallest orbit its original moves.
+
+    The returned tuple also carries, as ``levels``, each position's first
+    moved base level, which no step changes (see the module docstring), and
+    the chain it was read against.  Handed such a tuple for the same chain,
+    a step reads the levels; handed any other tuple, it scans the base once
+    per element.
     """
     _check_step_index(handle, i)
     if partition.max_index != i:
@@ -190,18 +207,21 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
     next_orbit = structure.orbit(i + 1)
     start = pointwise_stabilizer_level(handle, i)
     chain = handle.chain
-    prefix_base = chain.base[:start - 1]
+    base = chain.base
+    if isinstance(elements, _Walk) and elements.chain is chain:
+        levels = elements.levels
+    else:
+        levels = _first_moved_levels(elements, base)
     marked: set[tuple[int, ...]] = set()
     new_elements = []
-    for x in elements:
-        j = _first_moved_orbit(x, prefix_base, structure)
-        if j is None:
+    for x, level in zip(elements, levels):
+        if level >= start:
             new_elements.append(x)
             continue
         siftee, _ = sift(chain, x, start)
         new_elements.append(siftee)
         if siftee.moves_any(next_orbit):
-            marked.add(partition.cell_of(j))
+            marked.add(partition.cell_of(structure.orbit_of_point(base[level - 1])))
     merged = [i + 1]
     cells = []
     for cell in partition.cells:
@@ -209,7 +229,7 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
             merged.extend(cell)
         else:
             cells.append(cell)
-    return tuple(new_elements), OrbitPartition(cells + [merged])
+    return _Walk(new_elements, levels, chain), OrbitPartition(cells + [merged])
 
 
 def verify_separability(elements: Sequence[Permutation], partition: OrbitPartition,

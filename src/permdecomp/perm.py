@@ -77,19 +77,30 @@ def _relabel(perms: Iterable["Permutation"], points: Sequence[int]) -> list[byte
     for prev, p in zip(points, points[1:]):
         if p <= prev:
             raise ValueError(f"points not strictly ascending: {p} after {prev}")
-    local = {p - 1: i for i, p in enumerate(points)}
+    # two gathers in C: the points' images, then their local indices, which
+    # a point outside the set lacks
+    indices = [p - 1 for p in points]
+    local = dict(zip(indices, range(len(indices))))
     out = []
     for g in perms:
         img = g._img
         if points and not 1 <= points[0] <= points[-1] <= len(img):
             bad = next(p for p in points if not 1 <= p <= len(img))
             raise ValueError(f"point {bad} out of range 1..{len(img)}")
-        row = [local.get(img[p - 1]) for p in points]
-        if None in row:
-            p = points[row.index(None)]
-            raise ValueError(f"point set not invariant: {p} maps to {img[p - 1] + 1}")
+        try:
+            row = _gather(local, _gather(img, indices))
+        except KeyError:
+            p = next(p for p in points if img[p - 1] not in local)
+            raise ValueError(f"point set not invariant: {p} maps to {img[p - 1] + 1}") from None
         out.append(_as_image(row))
     return out
+
+
+def _gather(seq: Sequence | dict, indices: Sequence[int]) -> tuple:
+    """The tuple of ``seq[i]`` for i in ``indices``, gathered in C."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(seq)
+    return tuple(map(seq.__getitem__, indices))
 
 
 def _padded(img: bytes | tuple[int, ...], degree: int) -> bytes | tuple[int, ...]:

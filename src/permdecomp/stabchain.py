@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
@@ -682,6 +682,17 @@ def orbit_ordered_candidates(structure: OrbitStructure) -> list[int]:
     return out
 
 
+def _first_moved_levels(elements: Iterable[Permutation], base: Sequence[int]) -> tuple[int, ...]:
+    """For each element, the level of the first point of ``base`` it moves,
+    or ``len(base) + 1`` if it fixes them all.  For an element of the group
+    and its orbit-ordered base, the orbit of that base point is the smallest
+    orbit the element moves (see :mod:`permdecomp.decompose`)."""
+    zero = [b - 1 for b in base]
+    miss = len(base) + 1
+    return tuple(next(compress(count(1), map(ne, map(x._img.__getitem__, zero), zero)), miss)
+                 for x in elements)
+
+
 def sift(chain: StabilizerChain, g: Permutation, start_level: int = 1) -> tuple[Permutation, int]:
     """Sift g through chain levels start_level..m.
 
@@ -740,10 +751,12 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
        representatives;
     4. each Schreier generator u_q * s * u_{q^s}^-1 of a level sifts to the
        identity through the levels below.  Equal elements sift alike, so
-       each distinct one is sifted once per level.  The products are
-       formed on raw images, the inverses' from the tables that law 3 has
-       checked, and only a Schreier generator sifted becomes a
-       ``Permutation``.
+       each distinct one is sifted once per level.  A level generator that
+       moves no point its level's representatives move is its own
+       Schreier generator at every point, so it is formed at the first
+       point only.  The products are formed on raw images, the inverses'
+       from the tables that law 3 has checked, and only a Schreier
+       generator sifted becomes a ``Permutation``.
 
     By Schreier's lemma (Seress 2003, ch. 4), laws 3 and 4 make each level's
     group the product of the next level's group and the level's transversal,
@@ -761,9 +774,13 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
             return f"input generator {i} {failure}"
     base, plan = chain.base, chain._sift_plan()
     compose = Permutation._composer(chain.degree)
-    # each strong generator -> the first level whose base point it moves
-    first_moved = {x: next((j for j, p in enumerate(base, start=1) if x.image(p) != p), None)
-                   for x in chain.strong_generators}
+    # each strong generator -> the first level whose base point it moves,
+    # and the mask of the points it moves (byte p - 1 is 1 when it moves p)
+    first_moved = dict(zip(chain.strong_generators,
+                           _first_moved_levels(chain.strong_generators, base)))
+    ident = _identity_image(chain.degree)
+    masks = {x: int.from_bytes(bytes(map(ne, x._img, ident)), "little")
+             for x in chain.strong_generators}
     for t, level in enumerate(chain.levels, start=1):
         b = level.base_point
         gens = level.level_generators
@@ -771,7 +788,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
             if s not in first_moved:
                 return f"level {t}: generator {i} is not a strong generator"
             j = first_moved[s]
-            if j is not None and j < t:
+            if j < t:
                 return f"level {t}: generator {i} moves base point {base[j - 1]} of level {j}"
         orbit = {b}
         frontier = [b]
@@ -793,10 +810,17 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
         if tables != {q - 1: _operand(u.inverse()._img) for q, u in reps.items()}:
             return f"level {t}: the inverse tables are not those of the representatives"
         images = {q - 1: u._img for q, u in reps.items()}
-        operands = [_operand(s._img) for s in gens]
+        pairs = [(i, _operand(s._img)) for i, s in enumerate(gens, start=1)]
+        # a generator that moves no point a representative moves fixes the
+        # orbit and commutes with every representative: after the first
+        # point, its Schreier generator is one already sifted
+        moved = 0
+        for img in images.values():
+            moved |= int.from_bytes(bytes(map(ne, img, ident)), "little")
+        live = [pair for pair, s in zip(pairs, gens) if masks[s] & moved]
         sifted = set()  # equal Schreier generators sift alike: each once
         for q, u in reps.items():
-            for i, tbl in enumerate(operands, start=1):
+            for i, tbl in pairs:
                 us = compose(u._img, tbl)
                 target = us[b - 1]
                 if us == images[target]:
@@ -809,6 +833,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
                 if failure is not None:
                     return (f"level {t}: the Schreier generator of point {q} and "
                             f"generator {i} {failure}")
+            pairs = live
     return None
 
 

@@ -31,7 +31,7 @@ from permdecomp import (
     verify_separability,
 )
 from permdecomp.cli import main
-from permdecomp.decompose import _first_moved_orbit, decomposition_result
+from permdecomp.decompose import _first_moved_levels, _Walk, decomposition_result
 from permdecomp.groupfile import write_group_file
 from permdecomp.groups import by_name
 
@@ -226,7 +226,8 @@ class TestStepAlignment:
 
 class TestFirstMovedBasePoint:
     # the orbit of an element's first moved base point is the smallest
-    # orbit in its support, for strong generators and for every siftee
+    # orbit in its support, for strong generators and for every siftee, and
+    # a siftee's first moved base level is its input's
 
     @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
     def test_rule_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
@@ -236,23 +237,29 @@ class TestFirstMovedBasePoint:
             h = relabeled(base_group, big, rng)
             structure, base = h.orbit_structure, h.chain.base
             assert len(base) > structure.k  # several base points per orbit
-            for x in h.chain.strong_generators:
-                assert _first_moved_orbit(x, base, structure) == smallest_orbit(x, structure)
-            elements, p = h.chain.strong_generators, OrbitPartition([[1]])
+
+            def orbit_at(level):
+                # k + 1 past the base, as smallest_orbit gives for the identity
+                return (structure.orbit_of_point(base[level - 1]) if level <= len(base)
+                        else structure.k + 1)
+
+            strong = h.chain.strong_generators
+            assert ([orbit_at(t) for t in _first_moved_levels(strong, base)]
+                    == [smallest_orbit(x, structure) for x in strong])
+            elements, p = strong, OrbitPartition([[1]])
             siftees = 0
             for i in range(1, structure.k):
                 out, nxt = ddpd_step(h, i, elements, p)
-                prefix_base = base[:pointwise_stabilizer_level(h, i) - 1]
-                for x, siftee in zip(elements, out):
+                start = pointwise_stabilizer_level(h, i)
+                for x, siftee, level in zip(elements, out, _first_moved_levels(elements, base)):
                     j = smallest_orbit(x, structure)
                     if j > i:
                         # fixes the prefix's base points, so it is not sifted
-                        assert _first_moved_orbit(x, prefix_base, structure) is None
+                        assert level >= start and siftee is x
                         continue
-                    assert _first_moved_orbit(x, prefix_base, structure) == j
+                    assert level < start and orbit_at(level) == j
                     assert smallest_orbit(siftee, structure) == j
-                    assert _first_moved_orbit(siftee, base, structure) == j
-                    assert _first_moved_orbit(siftee, prefix_base, structure) == j
+                    assert _first_moved_levels([siftee], base) == (level,)
                     siftees += 1
                 elements, p = out, nxt
             assert siftees > 0
@@ -305,7 +312,7 @@ class TestDdpdStep:
         elements, p = h.chain.strong_generators, OrbitPartition([[1]])
         for i in (1, 2, 3):
             elements, p = ddpd_step(h, i, elements, p)
-            assert type(elements) is tuple
+            assert isinstance(elements, tuple)
             assert verify_separability(elements, p, h.orbit_structure)
             rebuilt = build_chain(list(elements), 12)
             assert rebuilt.order == h.order
@@ -342,6 +349,55 @@ def seeded_handle(inner, r, s, seed):
 def instance_handle(instance):
     return (GroupHandle.from_generators(running_gens(), 12) if instance == "running"
             else seeded_handle(*instance))
+
+
+class TestCarriedLevels:
+    # a step hands on its elements' first moved base levels with the chain
+    # it read them against; the next step reads them only off its own chain
+
+    @staticmethod
+    def assert_carried_walk(h, other):
+        base = h.chain.base
+        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
+        misread = 0
+        for i in range(1, h.orbit_structure.k):
+            out, nxt = ddpd_step(h, i, elements, p)
+            assert out.chain is h.chain
+            assert out.levels == _first_moved_levels(out, base)
+            assert ddpd_step(h, i, tuple(elements), p) == (out, nxt)
+            # levels that would leave every element unsifted: rescanned when
+            # carried from another handle's chain, read when from this one's
+            unsifted = (len(base) + 1,) * len(elements)
+            assert ddpd_step(h, i, _Walk(elements, unsifted, other.chain), p) == (out, nxt)
+            misread += ddpd_step(h, i, _Walk(elements, unsifted, h.chain), p)[1] != nxt
+            elements, p = out, nxt
+        assert misread > 0
+
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
+    def test_levels_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
+        base_group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+        rng = random.Random(seed)
+        for big in (255, 256, 257):
+            plain = relabeled(base_group, big, rng)
+            gens = nielsen_mix([tab(g) for g in plain.generators], rng, 2 * len(plain.generators))
+            mixed = GroupHandle.from_generators([Permutation(g) for g in gens], big)
+            self.assert_carried_walk(plain, mixed)
+            self.assert_carried_walk(mixed, plain)
+
+    @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
+    def test_one_scan_per_strong_generator(self, monkeypatch, instance):
+        handle = instance_handle(instance)
+        scanned = []
+        scan = decompose_module._first_moved_levels
+
+        def counting_scan(elements, base):
+            scanned.extend(elements)
+            return scan(elements, base)
+
+        monkeypatch.setattr(decompose_module, "_first_moved_levels", counting_scan)
+        decompose_handle(handle)
+        assert handle.orbit_structure.k > 1
+        assert scanned == list(handle.chain.strong_generators)
 
 
 def residue_dropping_build_chain():

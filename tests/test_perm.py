@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permdecomp import CycleFormatError, Permutation, format_cycles, parse_cycles
-from permdecomp.perm import _inverse_operand, _operand
+from permdecomp.perm import _inverse_operand, _operand, _relabel
 
 from oracles import tab, tab_compose, tab_inverse
 
@@ -78,6 +78,37 @@ class TestOperand:
         assert Permutation._composer(n)(g._img, inv) == Permutation.identity(n)._img
         if n <= 256:
             assert _operand(g._img)[n:] == bytes(range(n, 256))
+
+
+class TestRelabel:
+    # the gathered images equal a point-by-point relabelling, on both sides
+    # of the bytes/tuple cutoff and for zero or one points
+    @pytest.mark.parametrize("n, size", [(1, 0), (5, 1), (200, 196), (300, 255),
+                                         (300, 256), (300, 257), (300, 300)])
+    def test_matches_pointwise_relabelling(self, n, size):
+        rng = random.Random(n + size)
+        points = sorted(rng.sample(range(1, n + 1), size))
+        gens = []
+        for _ in range(3):
+            moved = points[:]
+            rng.shuffle(moved)
+            images = list(range(1, n + 1))
+            for p, q in zip(points, moved):
+                images[p - 1] = q
+            gens.append(Permutation(images))
+        local = {p: i for i, p in enumerate(points)}
+        expected = [[local[g.image(p)] for p in points] for g in gens]
+        out = _relabel(gens, points)
+        assert [list(img) for img in out] == expected
+        assert all(type(img) is (bytes if size <= 256 else tuple) for img in out)
+
+    def test_first_bad_permutation_is_named(self):
+        # each permutation is checked in turn: range first, then invariance
+        gens = [perm("(1,2)", 4), perm("(3,4)", 4)]
+        with pytest.raises(ValueError, match=r"^point set not invariant: 2 maps to 1$"):
+            _relabel(gens, [2, 3, 4])
+        with pytest.raises(ValueError, match=r"^point 5 out of range 1\.\.4$"):
+            _relabel([perm("(1,2)", 5), gens[1]], [3, 4, 5])
 
 
 class TestImage:

@@ -619,6 +619,42 @@ class TestAuditChain:
             "level 1: the Schreier generator of point 2 and generator 2 sifts to a " \
             "non-identity element after level 1"
 
+    def test_inert_level_generator_is_sifted_at_the_first_point(self):
+        # S3 x C2 with the C2 level dropped: (4,5) moves no point of the S3
+        # level's orbit, and its Schreier generator, itself, fails there
+        a, b, c = (parse_cycles(x, 5) for x in ("(1,2)", "(1,3)", "(4,5)"))
+        chain = build_chain([a, b, c], 5)
+        chain = StabilizerChain(5, chain.levels[:2], chain.strong_generators)
+        assert audit_chain(chain, [a, b]) == \
+            "level 1: the Schreier generator of point 1 and generator 3 sifts to a " \
+            "non-identity element after level 2"
+
+    def test_inert_level_generator_forms_one_product_per_level(self, monkeypatch):
+        # (4,5) moves no point that the representatives of levels 1 and 2
+        # move, so there it is formed at their first point only; on level 3
+        # it moves the base point and is formed at both points
+        a, b, c = (parse_cycles(x, 5) for x in ("(1,2)", "(1,3)", "(4,5)"))
+        chain = build_chain([a, b, c], 5)
+        assert [level.base_point for level in chain.levels] == [1, 2, 4]
+        assert all(c in level.level_generators for level in chain.levels)
+        tbl = _operand(c._img)
+        products = []
+        composer = Permutation._composer
+
+        def counting(degree):
+            compose = composer(degree)
+
+            def product(x, y):
+                products.append(y == tbl)
+                return compose(x, y)
+            return product
+
+        # sifts compose too: stub them out to count only the audit's products
+        monkeypatch.setattr(stabchain_module, "_sift_failure", lambda *args: None)
+        monkeypatch.setattr(Permutation, "_composer", staticmethod(counting))
+        assert audit_chain(chain, [a, b, c]) is None
+        assert sum(products) == 1 + 1 + 2
+
 
 class TestRandomElement:
     def test_trivial_group(self):
