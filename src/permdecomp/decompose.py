@@ -57,14 +57,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import compress, count
+from operator import ne
+from typing import Iterable, Sequence
 
-from .perm import Permutation, format_cycles
+from .perm import Permutation, _gather, format_cycles
 from .stabchain import (
     GroupHandle,
     OrbitStructure,
     StabilizerChain,
-    _first_moved_levels,
     audit_chain,
     is_member,
     pointwise_stabilizer_level,
@@ -171,6 +172,17 @@ def _check_step_index(handle: GroupHandle, i: int) -> None:
         raise ValueError(f"orbit prefix index {i} out of range 1..{k - 1}")
 
 
+def _first_moved_levels(elements: Iterable[Permutation], base: Sequence[int]) -> tuple[int, ...]:
+    """For each element, the level of the first point of ``base`` it moves,
+    or ``len(base) + 1`` if it fixes them all.  For an element of the group
+    and its orbit-ordered base, the orbit of that base point is the smallest
+    orbit the element moves (see the module docstring)."""
+    zero = [b - 1 for b in base]
+    miss = len(base) + 1
+    return tuple(next(compress(count(1), map(ne, map(x._img.__getitem__, zero), zero)), miss)
+                 for x in elements)
+
+
 class _Walk(tuple):
     """A step's elements, carrying each position's first moved base level
     (``levels``) read against ``chain``.  A slice or a sum of such a tuple
@@ -236,11 +248,16 @@ def verify_separability(elements: Sequence[Permutation], partition: OrbitPartiti
                         structure: OrbitStructure) -> bool:
     """True iff every element with nontrivial action on the orbits 1..i
     that ``partition`` covers touches exactly one of its cells."""
-    i = partition.max_index
+    # the 0-based points of those orbits, each with the index of its cell,
+    # so that an element is judged by its images of these points alone,
+    # gathered in C
+    orbits = [(c, structure.orbit(j)) for c, cell in enumerate(partition.cells) for j in cell]
+    points = [p - 1 for _, orbit in orbits for p in orbit]
+    cells = [c for c, orbit in orbits for _ in orbit]
+    fixed = tuple(points)
     for x in elements:
-        orbits = {structure.orbit_of_point(p) for p in x.support()}
-        touched = {partition.cell_of(j) for j in orbits if j is not None and j <= i}
-        if len(touched) > 1:
+        images = _gather(x._img, points)
+        if images != fixed and len(set(compress(cells, map(ne, images, points)))) > 1:
             return False
     return True
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 
@@ -59,6 +59,27 @@ def _as_image(table: Sequence[int]) -> bytes | tuple[int, ...]:
 @cache
 def _identity_image(degree: int) -> bytes | tuple[int, ...]:
     return _as_image(range(degree))
+
+
+@cache
+def _mask_constants(degree: int) -> tuple[int, int]:
+    # _moved_mask's constants for a bytes image: the identity image as an
+    # int, and the int whose bytes 0..degree-1 are 1
+    return int.from_bytes(_identity_image(degree), "little"), int.from_bytes(b"\1" * degree, "little")
+
+
+def _moved_mask(img: bytes | tuple[int, ...]) -> int:
+    """The int whose byte i is 1 when the raw image ``img`` moves index i,
+    and 0 otherwise."""
+    if len(img) > _MAX_BYTES_DEGREE:
+        return int.from_bytes(bytes(map(ne, img, _identity_image(len(img)))), "little")
+    ident, ones = _mask_constants(len(img))
+    # fold each byte of the xor onto its lowest bit
+    x = int.from_bytes(img, "little") ^ ident
+    x |= x >> 4
+    x |= x >> 2
+    x |= x >> 1
+    return x & ones
 
 
 def _operand(img: bytes | tuple[int, ...]) -> bytes | tuple[int, ...]:

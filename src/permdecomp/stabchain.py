@@ -8,24 +8,9 @@ concatenation of the group's orbits (each sorted ascending, orbits ordered
 by smallest element), the resulting base is grouped by orbit, so each orbit
 prefix's pointwise stabilizer appears as a chain level.  Choosing base
 points on demand cannot guarantee this: a residue discovered late may move
-an earlier orbit after later-orbit base points already exist.
-
-Redundant candidates (whose basic orbit stays a singleton) are dropped from
-the published chain, so bases are always non-redundant.  Most candidates are
-redundant, so the builder relabels the points so that the candidates are
-positions m-1..0, last to first (see :func:`build_chain`), and finds the
-next candidate an element moves in C instead of visiting each candidate in
-turn.  An element at level t fixes positions m-t..m-1, so from
-t0 = max(0, m - 256) on the builder keeps only its action on the first
-m - t0 positions, a slice that ``perm`` stores as ``bytes``: at most the
-first m - 256 levels of a chain with more than 256 candidates compose
-tuples, and those levels queue a Schreier pair only when its generator
-moves a point that the level's representatives move.  From 128
-candidates on, generators that fall into two or more support components,
-none holding more than half of the candidates, are swept one component
-at a time, each on its own positions, and the results merge into the
-chain the one sweep builds; so a component of at most 256 points
-composes ``bytes`` inside any degree.
+an earlier orbit after later-orbit base points already exist.  Redundant
+candidates (whose basic orbit stays a singleton) are dropped from the
+published chain, so bases are always non-redundant.
 
 After construction a chain is immutable (it computes its levels' inverse
 tables on the first sift, and its representatives' operands on the first
@@ -37,12 +22,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from itertools import compress, count
-from operator import itemgetter, ne
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .perm import (_MAX_BYTES_DEGREE, Permutation, _as_image, _identity_image,
-                   _inverse_operand, _operand, _padded, _relabel)
+                   _inverse_operand, _moved_mask, _operand, _padded, _relabel)
 
 
 class OrbitStructure:
@@ -195,9 +180,8 @@ class _Node:
         self.gens: list[Permutation] = []  # level generators, in the original points
         self.tbls: list[object] = []      # their operands here, in step with gens
         self.imgs: list[object] = []      # and their images here, unpadded
-        # below t0 only: the positions each generator moves (byte i of the
-        # int is 1 when it moves position i), and the union of the masks of
-        # the generators that created representatives
+        # below t0 only: each generator's _moved_mask, and the union of
+        # those of the generators that created representatives
         self.masks: list[int] = []
         self.moved = 0
         # orbit point (a position) -> its representative, its image here, and
@@ -222,28 +206,14 @@ def _dedup_generators(generators: Iterable[Permutation]) -> list[Permutation]:
     return out
 
 
-def _components(images: Sequence, m: int) -> list[tuple[int, list[int]]] | None:
-    """The support components of the images ``images`` of m indices: the
-    classes of the union-find that joins two images moving a common index,
-    each as the mask of the indices it moves (byte i is 1 when it moves
-    index i) and its images' positions in ``images``.  None when they form
-    one class, known at once when a class moves every index."""
-    ident = _identity_image(m)
-    as_ints = type(ident) is bytes
-    if as_ints:
-        ident = int.from_bytes(ident, "little")
-    every = int.from_bytes(b"\1" * m, "little")
+def _components(images: Sequence) -> list[tuple[int, list[int]]] | None:
+    """The support components of the raw images ``images``: the classes of
+    the union-find that joins two images moving a common index, each as
+    the mask of the indices it moves (see :func:`perm._moved_mask`) and its
+    images' positions in ``images``.  None when they form one class."""
     parts: list[tuple[int, list[int]]] = []
     for i, img in enumerate(images):
-        if as_ints:
-            # fold each byte of the xor onto its lowest bit
-            x = int.from_bytes(img, "little") ^ ident
-            x |= x >> 4
-            x |= x >> 2
-            x |= x >> 1
-            mask = x & every
-        else:
-            mask = int.from_bytes(bytes(map(ne, img, ident)), "little")
+        mask = _moved_mask(img)
         members = [i]
         rest = []
         for part in parts:
@@ -252,15 +222,12 @@ def _components(images: Sequence, m: int) -> list[tuple[int, list[int]]] | None:
                 members += part[1]
             else:
                 rest.append(part)
-        if mask == every:
-            return None
         rest.append((mask, members))
         parts = rest
     return parts if len(parts) > 1 else None
 
 
-# the fewest candidates at which build_chain looks for support components
-# (see build_chain)
+# the fewest candidates at which build_chain splits (see its docstring)
 _SPLIT_CANDIDATES = 128
 
 
@@ -284,8 +251,8 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     every element, so the restriction loses nothing.  Level t's base point
     is position m-1-t, and the next candidate an element moves is the last
     position where c(x) differs from the identity, found by slice
-    comparisons, so sifting composes only at moved candidates and skips the
-    fixed ones in C.
+    comparisons, so sifting composes only at moved candidates and skips in
+    C the fixed ones, which are most of them.
 
     Let t0 = max(0, m - 256) and k = m - t0.  A generator or residue joins
     only the levels up to the first candidate it moves, so each level's
@@ -303,52 +270,30 @@ def build_chain(generators: Sequence[Permutation], degree: int,
     to 256 candidates, t0 = 0 and every level has the one form, whatever
     the degree.
 
-    A Schreier pair (p, s) of level t needs a strip only when its Schreier
-    generator differs from s's own image in the level's form; each level
-    keeps those images next to its generators' operands.  A Schreier
-    generator of level t fixes level t's base point, so an s equal to it
-    fixes it too; s joined the levels up to the last position it moves,
-    which is below that base point, so s is a generator of level t+1 as
-    well.  Level t+1 is complete when level t is processed, so the strip
-    would end at the identity, and skipping it leaves the chain unchanged.
-
-    Below t0 such a pair is not even queued when its generator is inert on
-    the level.  Each generator of a level below t0 carries a mask of the
-    positions it moves, and the level keeps ``moved``, the union of the
-    masks of the generators that created its representatives.  Every
-    representative is a word in those generators, so its support lies in
-    ``moved``; so does the base point, which the first step of the orbit's
-    growth moves.  A generator s whose mask misses ``moved`` therefore
-    fixes every orbit point and commutes with every representative, so the
-    Schreier generator of (p, s) is u_p * s * u_p^-1 = s: a pair the
-    equality test would skip, but only after two m-wide products.  The
-    ``bytes`` levels queue every pair, since there a pair costs two
-    ``bytes.translate`` calls, less than the masks would.
-
-    After a residue found at level t joins levels t+1..j, the sweep jumps to
-    j and walks back down, past levels it has visited before.  A visited
-    level whose orbit is still a single point has gained only generators
-    that fix its base point: a generator that moves it joins it as its last
-    level, and the sweep jumps to that level at once.  Extending such a
-    level would add no point and queue no pair, so the sweep passes it.
-
     The input generators fall into support components: the classes of the
-    union-find that joins two generators moving a common position, found
-    from one mask of moved positions per generator.  With two or more,
-    the sweep runs once per component, on that component's positions
-    relabelled 0..n-1 in order, so a component of at most 256 positions
-    composes ``bytes`` at any degree and only one of more than 256
-    reaches the tuple levels.  Each component costs a relabelling, a
-    sweep's set-up and its share of the merge, so the split needs at least
-    128 candidates (``_SPLIT_CANDIDATES``) and no component holding more
-    than half of them.  On plain inputs of 32 to 100 candidates in
-    components of 4 to 8 points the split was up to 37% slower (2-core
-    Xeon), while from 128 candidates on it won on every plain shape
-    measured; and a component that holds most candidates and generators
-    leaves few inert pairs to save (C2 s=2 r=50 after Nielsen moves falls
-    into components of 196 and 4 points, and read 8% slower split).
-    Smaller builds skip the search too.  The results merge into the chain
-    the one sweep over all positions builds:
+    union-find that joins two generators moving a common position.  With
+    two or more, the sweep runs once per component, on that component's
+    positions relabelled 0..n-1 in order, so a component of at most 256
+    positions composes ``bytes`` at any degree and only one of more than
+    256 reaches the tuple levels.  Each component costs a relabelling, a
+    sweep's set-up and its share of the merge, so the split has two gates:
+
+    - at least 128 candidates (``_SPLIT_CANDIDATES``).  On plain inputs of
+      32 to 100 candidates in components of 4 to 8 points the split was up
+      to 37% slower (2-core Xeon), while from 128 candidates on it won on
+      every plain shape measured;
+    - no component holding more than half of them.  Such a component holds
+      most generators and leaves few inert pairs to save, so the split
+      pays its costs for the small components alone.  C2 s=2 r=50 after
+      2 * |gens| Nielsen moves falls into components of 196 and 4 points
+      and built in 5.4 ms refused, 6.2 ms split (best of 15, 2-core Xeon),
+      0.4 ms of it relabelling.  The rule is rough: after |gens| moves it
+      falls into 13 components, the largest of 140 points, and C3 s=2
+      r=42 into 9, the largest of 192, and there the split won (3.4 ms
+      against 4.2, and 4.1 against 4.6).
+
+    The results merge into the chain the one sweep over all positions
+    builds:
 
     - its levels are the components' levels, in candidate order;
     - its strong generators are the input generators in input order, then
@@ -406,7 +351,7 @@ def build_chain(generators: Sequence[Permutation], degree: int,
             raise ValueError(f"candidates do not cover moved point {p}")
         images.append(_as_image(c[:m]))
     if len(gens) > 1 and m >= _SPLIT_CANDIDATES:
-        parts = _components(images, m)
+        parts = _components(images)
         if parts is not None and 2 * max(mask.bit_count() for mask, _ in parts) <= m:
             return _merged(gens, images, parts, candidates, to_point, degree)
 
@@ -494,10 +439,8 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
     generators, and the levels lo..hi that each strong generator joined."""
     t0 = max(0, m - _MAX_BYTES_DEGREE)
     k = m - t0
-    identity = Permutation.identity(degree)
+    identity = Permutation._make(_identity_image(degree))
     compose_n = Permutation._composer(degree)
-    # levels below t0 hold images of all m positions, the others of the
-    # first k
     ident_low, ident_high = _identity_image(m), _identity_image(k)
     compose_low, compose_high = Permutation._composer(m), Permutation._composer(k)
     low_inv, high_inv = _operand(ident_low), _operand(ident_high)
@@ -530,7 +473,7 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
         spans.append((lo, hi))
         if lo < t0:
             tbl = _operand(c)
-            mask = int.from_bytes(bytes(map(ne, c, ident_low)), "little")
+            mask = _moved_mask(c)
             for node in nodes[lo:min(hi + 1, t0)]:
                 node.gens.append(x)
                 node.tbls.append(tbl)
@@ -549,8 +492,15 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
         # frontier stays valid) and queue its new Schreier pairs.  A
         # singleton orbit queues none: its generators fix the point and join
         # level t+1 too, so the level inherits completeness from level t+1.
-        # Below t0, a pair (p, s) is queued only if s moves a position in
-        # moved, which holds every orbit point (see build_chain)
+        # Below t0, a pair (p, s) is queued only when s's mask meets moved.
+        # Each representative is a word in the generators whose masks make
+        # up moved, so its support lies in moved, and so does the base
+        # point, which the orbit's first step moves.  An s that misses moved
+        # fixes every orbit point and commutes with every representative, so
+        # its Schreier generator u_p * s * u_p^-1 is s: a pair the pass's
+        # equality test would skip, but only after two m-wide products.  The
+        # bytes levels queue every pair: there a pair costs two
+        # bytes.translate calls, less than the masks would
         node = nodes[t]
         pts, gens_local = node.pts, node.gens
         ep, eg = node.exp_pts, node.exp_gens
@@ -588,9 +538,7 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
 
     def strip(v, t: int) -> tuple[object, int]:
         # sift v = c(x), in level t's form, through levels t+1..m-1 (positions
-        # m-2-t down to 0), for an x fixing positions m-1-t..m-1.  Below t0,
-        # v holds all m positions and is cut to its first k = 256 once x
-        # fixes positions k..m-1
+        # m-2-t down to 0), for an x fixing positions m-1-t..m-1
         p = m - 2 - t
         if t < t0:
             while (p := last_moved(v, p, k, ident_low)) >= k:
@@ -628,10 +576,8 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
     #   does, so the last position s moves is below it and attach put s on
     #   level t+1 too.  That level is complete, so the strip would return
     #   j == m, and the chain is the same pair for pair;
-    # - below t0, a pair (p, s) whose s moves no position in the level's
-    #   moved set is never queued: s fixes every orbit point and commutes
-    #   with every representative, whose supports lie in that set, so its
-    #   Schreier generator is s, a pair the test above would skip;
+    # - below t0, a pair whose s misses the level's moved set is never
+    #   queued: its Schreier generator is s (see extend_orbit);
     # - the pair that produced the residue is not verified yet: it is
     #   checked again on resume, through the levels the residue joined.
     # The re-descent passes each visited level whose orbit is still a single
@@ -652,7 +598,7 @@ def _sweep(gens: list[Permutation], images: list, m: int, degree: int,
             if prod == srep[q]:  # every tree edge lands here
                 continue
             sg = compose(prod, inv[q])
-            if sg == s:  # s lies in level t+1's group, which is complete
+            if sg == s:
                 continue
             res, j = strip(sg, t)
             if j == m:  # fixes every candidate, which cover the support
@@ -680,17 +626,6 @@ def orbit_ordered_candidates(structure: OrbitStructure) -> list[int]:
     for orbit in structure.orbits:
         out.extend(orbit)
     return out
-
-
-def _first_moved_levels(elements: Iterable[Permutation], base: Sequence[int]) -> tuple[int, ...]:
-    """For each element, the level of the first point of ``base`` it moves,
-    or ``len(base) + 1`` if it fixes them all.  For an element of the group
-    and its orbit-ordered base, the orbit of that base point is the smallest
-    orbit the element moves (see :mod:`permdecomp.decompose`)."""
-    zero = [b - 1 for b in base]
-    miss = len(base) + 1
-    return tuple(next(compress(count(1), map(ne, map(x._img.__getitem__, zero), zero)), miss)
-                 for x in elements)
 
 
 def sift(chain: StabilizerChain, g: Permutation, start_level: int = 1) -> tuple[Permutation, int]:
@@ -766,7 +701,8 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
     generators, each level's generators lie in the group of the level above,
     and the first level's lie in the group.  Then the chain's order is the
     group's order and :func:`sift` decides membership.  The audit reads only
-    ``Permutation`` and :func:`sift`, never the builder's sweep.
+    :mod:`~permdecomp.perm` and :func:`sift`, never the builder's sweep or
+    the walk.
     """
     for i, g in enumerate(generators, start=1):
         failure = _sift_failure(chain, g)
@@ -774,22 +710,20 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
             return f"input generator {i} {failure}"
     base, plan = chain.base, chain._sift_plan()
     compose = Permutation._composer(chain.degree)
-    # each strong generator -> the first level whose base point it moves,
-    # and the mask of the points it moves (byte p - 1 is 1 when it moves p)
-    first_moved = dict(zip(chain.strong_generators,
-                           _first_moved_levels(chain.strong_generators, base)))
-    ident = _identity_image(chain.degree)
-    masks = {x: int.from_bytes(bytes(map(ne, x._img, ident)), "little")
-             for x in chain.strong_generators}
+    # the points each strong generator moves, and the base points of the
+    # levels before level t (byte p - 1 is 1 for point p)
+    masks = {x: _moved_mask(x._img) for x in chain.strong_generators}
+    earlier = 0
     for t, level in enumerate(chain.levels, start=1):
         b = level.base_point
         gens = level.level_generators
         for i, s in enumerate(gens, start=1):
-            if s not in first_moved:
+            if s not in masks:
                 return f"level {t}: generator {i} is not a strong generator"
-            j = first_moved[s]
-            if j < t:
-                return f"level {t}: generator {i} moves base point {base[j - 1]} of level {j}"
+            if masks[s] & earlier:
+                j, p = next((j, p) for j, p in enumerate(base, start=1) if s.image(p) != p)
+                return f"level {t}: generator {i} moves base point {p} of level {j}"
+        earlier |= 1 << 8 * (b - 1)
         orbit = {b}
         frontier = [b]
         while frontier:
@@ -816,7 +750,7 @@ def audit_chain(chain: StabilizerChain, generators: Sequence[Permutation]) -> st
         # point, its Schreier generator is one already sifted
         moved = 0
         for img in images.values():
-            moved |= int.from_bytes(bytes(map(ne, img, ident)), "little")
+            moved |= _moved_mask(img)
         live = [pair for pair, s in zip(pairs, gens) if masks[s] & moved]
         sifted = set()  # equal Schreier generators sift alike: each once
         for q, u in reps.items():

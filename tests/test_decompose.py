@@ -332,6 +332,43 @@ class TestVerifySeparability:
         h = GroupHandle.from_generators(running_gens(), 12)
         assert verify_separability(running_gens(), OrbitPartition([[1]]), h.orbit_structure)
 
+    @staticmethod
+    def separable_by_supports(elements, partition, structure):
+        # the definition on each element's whole support, point by point
+        i = partition.max_index
+        for x in elements:
+            orbits = {structure.orbit_of_point(p) for p in x.support()}
+            if len({partition.cell_of(j) for j in orbits if j is not None and j <= i}) > 1:
+                return False
+        return True
+
+    # every state of plain and mixed walks on both sides of the bytes/tuple
+    # cutoff, judged against the walk's partition (separable), the
+    # partition into singletons (not, once the walk has merged) and with the
+    # input generators, which often act on several cells
+    @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
+    def test_matches_the_support_definition(self, inner, r, s, seed):
+        base_group, _ = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+        rng = random.Random(seed)
+        verdicts = set()
+        for big in (255, 256, 257):
+            h = relabeled(base_group, big, rng)
+            gens = nielsen_mix([tab(g) for g in h.generators], rng, 2 * len(h.generators))
+            mixed = GroupHandle.from_generators([Permutation(g) for g in gens], big)
+            for handle in (h, mixed):
+                structure = handle.orbit_structure
+                elements, p = handle.chain.strong_generators, OrbitPartition([[1]])
+                for i in range(1, structure.k + 1):
+                    singletons = OrbitPartition([[j] for j in range(1, i + 1)])
+                    for judged, partition in ((elements, p), (elements, singletons),
+                                              (handle.generators, p)):
+                        verdict = verify_separability(judged, partition, structure)
+                        assert verdict == self.separable_by_supports(judged, partition, structure)
+                        verdicts.add(verdict)
+                    if i < structure.k:
+                        elements, p = ddpd_step(handle, i, elements, p)
+        assert verdicts == {True, False}
+
 
 # instances on which a walk that never merges cells yields a wrong answer
 SEEDED = [("A4", 3, 3, 2), ("C3", 4, 2, 3), ("D8", 2, 3, 1)]

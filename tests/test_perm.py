@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permdecomp import CycleFormatError, Permutation, format_cycles, parse_cycles
-from permdecomp.perm import _inverse_operand, _operand, _relabel
+from permdecomp.perm import _inverse_operand, _moved_mask, _operand, _relabel
 
 from oracles import tab, tab_compose, tab_inverse
 
@@ -78,6 +78,27 @@ class TestOperand:
         assert Permutation._composer(n)(g._img, inv) == Permutation.identity(n)._img
         if n <= 256:
             assert _operand(g._img)[n:] == bytes(range(n, 256))
+
+
+class TestMovedMask:
+    # byte i of the mask is 1 exactly when the image moves index i, on both
+    # sides of the bytes/tuple cutoff: for the identity, a swap of the first
+    # and last indices, a swap of 0 and 128 (only the top bit of their xor
+    # set) and seeded shuffles of some or all indices
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 1024])
+    def test_matches_pointwise_definition(self, n):
+        rng = random.Random(n)
+        tables = [list(range(n)) for _ in range(5)]
+        tables[1][0], tables[1][-1] = n - 1, 0
+        if n > 128:
+            tables[2][0], tables[2][128] = 128, 0
+        some = rng.sample(range(n), n // 3)
+        for p, q in zip(some, rng.sample(some, len(some))):
+            tables[3][p] = q
+        rng.shuffle(tables[4])
+        for table in tables:
+            img = Permutation([q + 1 for q in table])._img
+            assert _moved_mask(img) == sum(1 << 8 * i for i, q in enumerate(table) if q != i)
 
 
 class TestRelabel:

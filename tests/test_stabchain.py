@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib
 import inspect
 import math
 import random
@@ -27,12 +28,16 @@ from permdecomp import (
     pointwise_stabilizer_level,
     random_ddp_group,
     random_element,
+    restriction_order,
     sift,
 )
 from permdecomp.perm import _operand
 from permdecomp.stabchain import audit_chain
 
 from oracles import closure, nielsen_mix, on_points, tab
+
+# the package re-exports the function decompose under the module's name
+decompose_module = importlib.import_module("permdecomp.decompose")
 
 RUNNING = ["(1,2,3)(7,9,8)(10,12,11)", "(4,5,6)(7,8,9)(10,11,12)",
            "(5,6)(8,9)(11,12)", "(7,8,9)(10,11,12)"]
@@ -656,6 +661,23 @@ class TestAuditChain:
         assert sum(products) == 1 + 1 + 2
 
 
+    def test_law_two_reads_no_walk_helper(self, monkeypatch):
+        # S3 whose level-2 generators include (1,2,3), which moves level 1's
+        # base point; a helper reporting every base point fixed must not
+        # hide it
+        a, b = parse_cycles("(1,2,3)", 3), parse_cycles("(2,3)", 3)
+        first = TransversalLevel(1, {1: Permutation.identity(3), 2: a, 3: a * a}, (a, b))
+        second = TransversalLevel(2, {2: Permutation.identity(3), 3: b}, (b, a))
+        chain = StabilizerChain(3, [first, second], (a, b))
+
+        def all_fixed(elements, base):
+            return tuple(len(base) + 1 for _ in elements)
+
+        monkeypatch.setattr(stabchain_module, "_first_moved_levels", all_fixed, raising=False)
+        monkeypatch.setattr(decompose_module, "_first_moved_levels", all_fixed)
+        assert audit_chain(chain, [a, b]) == "level 2: generator 2 moves base point 1 of level 1"
+
+
 class TestRandomElement:
     def test_trivial_group(self):
         chain = build_chain([], 3)
@@ -1012,3 +1034,10 @@ class TestOnPoints:
     def test_bad_points_raise(self, cycle, points, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             GroupHandle.on_points([parse_cycles(cycle, 4)], points)
+
+    # the trivial group on no points, as a handle and as the restriction to
+    # no orbits
+    def test_no_points_has_order_one(self):
+        handle = running_handle()
+        assert GroupHandle.on_points(handle.generators, []).order == 1
+        assert restriction_order(handle, []) == 1
