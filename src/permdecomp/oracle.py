@@ -6,7 +6,10 @@ copy and builds a group only for a draw that passes.
 The brute-force search follows the classic exponential recipe: try all
 bipartitions of the orbit set in order of increasing size of the smaller
 part, recurse into the halves of the first valid split, and declare a set
-of orbits indecomposable when no bipartition is valid.
+of orbits indecomposable when no bipartition is valid.  The
+indecomposability test runs the same loop over the whole orbit set and
+stops at the first valid split, since the search returns one cell exactly
+when no bipartition of the whole set splits.
 
 Every candidate split is decided by one membership criterion.  The group H
 restricted to a union of orbits C is a subdirect product of its restrictions
@@ -42,6 +45,15 @@ not split, so skipping those pairs changes no unit.
 :func:`verify_decomposition` keeps the order argument (the cell restriction
 orders multiply to |H|) on fresh chains, as a check independent of the
 search.
+
+The generator asks two questions of each draw: does each column of drawn
+inner elements generate the inner group, and is the group of the draw's
+direct sums indecomposable?  Each answer depends only on the group the
+drawn set generates, and a small inner group yields the same sets again
+and again (C2 s=2 r=500 draws 3 distinct columns for its 500 factors), so
+one instance keeps a verdict per set of elements, columns and candidates
+apart, and decides each set once.  The verdicts die with the instance, so
+every instance, and every set-up timing, starts from none.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .decompose import OrbitPartition
-from .perm import Permutation
+from .perm import Permutation, _as_image
 from .stabchain import (
     GroupHandle,
     StabilizerChain,
@@ -170,17 +182,11 @@ def _check_deadline(deadline: float | None) -> None:
         raise ComputationTimeout("brute-force decomposition timed out")
 
 
-def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, chains: dict,
-           answers: dict, deadline: float | None) -> list[tuple[int, ...]]:
-    """The finest cells of the union of the units in ``current``: the first
-    valid bipartition of the units, in order of increasing smaller side,
-    with each side split again."""
-    indices = tuple(sorted(x for unit in current for x in unit))
-    if len(current) == 1:
-        return [indices]
-    # one node per recursion step; a component chain is read only when a
-    # candidate bipartition leaves a generator moving both halves
-    profile, member = _node(handle, moved, frozenset(indices), chains, answers)
+def _first_split(current: tuple[tuple[int, ...], ...], profile, member,
+                 deadline: float | None) -> tuple[int, ...] | None:
+    """The positions in ``current`` of the smaller side of the first valid
+    bipartition of its units, in order of increasing smaller side, or None
+    when no bipartition splits the node."""
     for size in range(1, len(current) // 2 + 1):
         for chosen in combinations(range(len(current)), size):
             _check_deadline(deadline)
@@ -188,14 +194,35 @@ def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, cha
             # counts, pin unit 0 to the chosen side
             if 2 * size == len(current) and chosen[0] != 0:
                 continue
-            left = frozenset(j for idx in chosen for j in current[idx])
-            if _splits(profile, member, left):
-                chosen_set = set(chosen)
-                picked = tuple(current[idx] for idx in chosen)
-                rest = tuple(u for idx, u in enumerate(current) if idx not in chosen_set)
-                return (_split(picked, handle, moved, chains, answers, deadline)
-                        + _split(rest, handle, moved, chains, answers, deadline))
-    return [indices]
+            if _splits(profile, member, frozenset(j for idx in chosen for j in current[idx])):
+                return chosen
+    return None
+
+
+def _split(current: tuple[tuple[int, ...], ...], handle: GroupHandle, moved, chains: dict,
+           answers: dict, deadline: float | None) -> list[tuple[int, ...]]:
+    """The finest cells of the union of the units in ``current``: the first
+    valid bipartition of the units, with each side split again."""
+    indices = tuple(sorted(x for unit in current for x in unit))
+    if len(current) == 1:
+        return [indices]
+    # one node per recursion step; a component chain is read only when a
+    # candidate bipartition leaves a generator moving both halves
+    profile, member = _node(handle, moved, frozenset(indices), chains, answers)
+    chosen = _first_split(current, profile, member, deadline)
+    if chosen is None:
+        return [indices]
+    picked = tuple(current[idx] for idx in chosen)
+    rest = tuple(u for idx, u in enumerate(current) if idx not in chosen)
+    return (_split(picked, handle, moved, chains, answers, deadline)
+            + _split(rest, handle, moved, chains, answers, deadline))
+
+
+def _moved(handle: GroupHandle) -> list[tuple[Permutation, frozenset[int]]]:
+    """Each input generator with the orbits it moves."""
+    orbit_of_point = handle.orbit_structure.orbit_of_point
+    return [(g, frozenset(orbit_of_point(p + 1) for p, q in enumerate(g._img) if p != q))
+            for g in handle.generators]
 
 
 def verify_decomposition(handle: GroupHandle, partition: OrbitPartition) -> bool:
@@ -228,11 +255,9 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
         raise OrbitCapExceeded(f"{k} orbits exceeds the configured cap {cap}")
     if k == 0:
         return OrbitPartition(())
-    structure = handle.orbit_structure
-    # each input generator with the orbits it moves; a node keeps those that
-    # move it, and a split test sifts only those moving both sides
-    moved = [(g, frozenset(structure.orbit_of_point(p + 1) for p, q in enumerate(g._img)
-                           if p != q)) for g in handle.generators]
+    # a node keeps the generators that move it, and a split test sifts only
+    # those moving both sides
+    moved = _moved(handle)
     # the component chains of this search and the answers of its split
     # tests, keyed by (component, generator, orbit subset), shared by the
     # pairs pass and the recursion; nothing outlives the call
@@ -263,24 +288,36 @@ def brute_force_decompose(handle: GroupHandle, cap: int = DEFAULT_ORBIT_CAP,
 def is_ddp_indecomposable(handle: GroupHandle) -> bool:
     """True iff the group admits no decomposition into factors with disjoint
     supports (equivalently, the brute-force partition has a single cell).
-    Raises OrbitCapExceeded above ``DEFAULT_ORBIT_CAP`` orbits."""
-    if handle.orbit_structure.k <= 1:
+    Raises OrbitCapExceeded above ``DEFAULT_ORBIT_CAP`` orbits.
+
+    The search stops at the first valid bipartition of the orbits, with no
+    recursion into its halves and no chain for a smaller component: the
+    brute-force partition has one cell exactly when no bipartition of the
+    whole orbit set splits."""
+    k = handle.orbit_structure.k
+    if k <= 1:
         return True
-    return len(brute_force_decompose(handle).cells) == 1
+    if k > DEFAULT_ORBIT_CAP:
+        raise OrbitCapExceeded(f"{k} orbits exceeds the configured cap {DEFAULT_ORBIT_CAP}")
+    profile, member = _node(handle, _moved(handle), frozenset(range(1, k + 1)), {}, {})
+    return _first_split(tuple((j,) for j in range(1, k + 1)), profile, member, None) is None
 
 
 def _direct_sum(parts: Sequence[Permutation], degree: int, offset: int = 0) -> Permutation:
-    # parts placed on consecutive point ranges from offset + 1, identity elsewhere
-    table = list(range(1, offset + 1))
+    # parts placed on consecutive point ranges from offset + 1, identity
+    # elsewhere, built as a 0-based image table
+    table = list(range(offset))
     for g in parts:
-        start = len(table)
-        table.extend(g.image(p) + start for p in range(1, g.degree + 1))
-    table.extend(range(len(table) + 1, degree + 1))
-    return Permutation(table)
+        table.extend(map(len(table).__add__, g._img))
+    table.extend(range(len(table), degree))
+    return Permutation._make(_as_image(table))
 
 
 def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
-                   budget: int = DEFAULT_RETRY_BUDGET) -> GroupHandle:
+                   budget: int = DEFAULT_RETRY_BUDGET, *,
+                   columns: dict[frozenset[Permutation], bool] | None = None,
+                   candidates: dict[frozenset[Permutation], bool] | None = None
+                   ) -> GroupHandle:
     """A random indecomposable subdirect product of s copies of a transitive
     group, each copy acting on its own shifted point range.
 
@@ -294,6 +331,16 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
     times before giving up.  Acceptance runs the brute-force oracle, whose
     cost grows exponentially with s, so s above ``DEFAULT_ORBIT_CAP`` raises
     OrbitCapExceeded before any candidate is drawn.
+
+    Each verdict depends only on the group the drawn elements generate, so
+    ``columns`` (keyed by the set of a column's elements: does it generate
+    the inner group?) and ``candidates`` (keyed by the set of a draw's
+    direct sums: is their group indecomposable?) keep it for every later
+    draw that repeats the set.  A repeated rejection builds no handle.  The
+    two dicts stay apart, since at s = 1 a column and a candidate are the
+    same set; by default each call keeps its own, and a caller that passes
+    them decides how long they live.  The draws and the decisions are the
+    same with or without them.
     """
     d = inner.degree
     if inner.orbit_structure.k != 1 or len(inner.orbit_structure.orbit(1)) != d:
@@ -305,13 +352,30 @@ def make_subdirect(inner: GroupHandle, s: int, rng: random.Random,
                                "accepting a subdirect product runs the brute-force oracle")
     degree = s * d
     target = inner.order
+    columns = {} if columns is None else columns
+    candidates = {} if candidates is None else candidates
+
+    def generates(column) -> bool:
+        key = frozenset(column)
+        verdict = columns.get(key)
+        if verdict is None:
+            verdict = columns[key] = build_chain(column, d).order == target
+        return verdict
+
     for _ in range(budget):
         i = 1 if s == 1 else rng.randint(2, s)
         rows = [[random_element(inner.chain, rng) for _ in range(s)] for _ in range(i)]
-        if any(build_chain(column, d).order != target for column in zip(*rows)):
+        if not all(map(generates, zip(*rows))):
             continue
-        candidate = GroupHandle.from_generators([_direct_sum(row, degree) for row in rows], degree)
-        if is_ddp_indecomposable(candidate):
+        sums = [_direct_sum(row, degree) for row in rows]
+        key = frozenset(sums)
+        verdict = candidates.get(key)
+        if verdict is False:
+            continue
+        candidate = GroupHandle.from_generators(sums, degree)
+        if verdict is None:
+            verdict = candidates[key] = is_ddp_indecomposable(candidate)
+        if verdict:
             return candidate
     raise RetryBudgetExhausted(
         f"no acceptable subdirect product of {s} copies after {budget} attempts")
@@ -325,14 +389,22 @@ def random_ddp_group(spec: RandomInstanceSpec) -> tuple[GroupHandle, OrbitPartit
     Returns the group and the ground-truth partition of its orbit indices
     (r cells of s orbits each, renumbered through the conjugation).
     Deterministic for a fixed spec, including the seed.
+
+    The r ``make_subdirect`` calls share one dict of column verdicts and one
+    of candidate verdicts, so a set of elements drawn again for another
+    factor is decided once.  Both dicts die with the call: a repeated call
+    with the same spec decides every set afresh and returns the same group.
     """
     rng = random.Random(spec.seed)
     d = spec.inner_group.degree
     r, s = spec.r, spec.s
     degree = r * s * d
+    columns: dict[frozenset[Permutation], bool] = {}
+    candidates: dict[frozenset[Permutation], bool] = {}
     gens: list[Permutation] = []
     for t in range(r):
-        factor = make_subdirect(spec.inner_group, s, rng)
+        factor = make_subdirect(spec.inner_group, s, rng,
+                                columns=columns, candidates=candidates)
         gens.extend(_direct_sum([g], degree, t * s * d) for g in factor.generators)
     # every point is moved (the inner group is transitive of degree >= 2),
     # so the scrambling permutation is uniform over all points

@@ -346,6 +346,48 @@ class TestIndecomposable:
             [parse_cycles("(1,2,3,4)", 4), parse_cycles("(1,2)", 4)], 4)
         assert is_ddp_indecomposable(h)
 
+    # the three groups above, and one of four orbits whose only split is
+    # {1,2}|{3,4}, so the first valid bipartition has two orbits a side
+    @pytest.mark.parametrize("cycles, degree", [
+        (["(1,2)(3,4)"], 4), (["(1,2)", "(3,4)"], 4), (["(1,2,3,4)", "(1,2)"], 4),
+        (["(1,2)(3,4)", "(5,6)(7,8)"], 8)])
+    def test_agrees_with_the_full_search(self, cycles, degree):
+        h = GroupHandle.from_generators([parse_cycles(c, degree) for c in cycles], degree)
+        assert is_ddp_indecomposable(h) == (len(brute_force_decompose(h).cells) == 1)
+
+    def test_first_split_of_two_orbits_a_side(self):
+        h = GroupHandle.from_generators(
+            [parse_cycles("(1,2)(3,4)", 8), parse_cycles("(5,6)(7,8)", 8)], 8)
+        assert brute_force_decompose(h) == OrbitPartition([[1, 2], [3, 4]])
+        assert not is_ddp_indecomposable(h)
+
+    def test_agrees_on_every_drawn_candidate(self, monkeypatch):
+        # every candidate make_subdirect tests at s = 2..4 over two seeds,
+        # against the full search's cell count; both verdicts occur (each D8
+        # candidate these draw is indecomposable, the others are mixed)
+        seen = []
+        test = oracle_module.is_ddp_indecomposable
+
+        def recording(handle):
+            seen.append(handle)
+            return test(handle)
+        monkeypatch.setattr(oracle_module, "is_ddp_indecomposable", recording)
+        for inner in ("C3", "S3", "A4", "D8"):
+            for s in (2, 3, 4):
+                for seed in (0, 1):
+                    make_subdirect(by_name(inner), s, random.Random(seed))
+        monkeypatch.undo()
+        verdicts = [is_ddp_indecomposable(h) for h in seen]
+        assert verdicts == [len(brute_force_decompose(h).cells) == 1 for h in seen]
+        assert set(verdicts) == {True, False}
+
+    def test_orbit_cap(self):
+        h = GroupHandle.from_generators(
+            [parse_cycles(f"({2 * j - 1},{2 * j})", 26) for j in range(1, 14)], 26)
+        assert h.orbit_structure.k == 13
+        with pytest.raises(OrbitCapExceeded):
+            is_ddp_indecomposable(h)
+
 
 class TestMakeSubdirect:
     def test_single_copy_of_cyclic_group(self):
@@ -455,6 +497,61 @@ class TestRandomDdpGroup:
                         digest.update("".join(f"{line}\n" for line in lines).encode())
         assert digest.hexdigest() == (
             "72d6cfe67f015abad308bdba6124e6c053195bcaf324f746706b4de35e3e8922")
+
+    def test_many_orbits_grid_digest(self):
+        # the four base groups of the many-orbits benchmark workload, at its
+        # grid seeds: up to 50 factors drawn with verdicts shared across
+        # factors, where test_grid_digest's two factors share few
+        digest = hashlib.sha256()
+        for idx, (inner, s, r) in enumerate((("C2", 2, 50), ("C3", 2, 42), ("S3", 2, 36),
+                                             ("D8", 2, 26))):
+            seed = 2004_11618 + idx
+            H, truth = random_ddp_group(RandomInstanceSpec(by_name(inner), r, s, seed))
+            lines = [f"{inner} r={r} s={s} seed={seed} degree {H.degree}",
+                     *map(format_cycles, H.generators),
+                     repr([list(cell) for cell in truth.cells])]
+            digest.update("".join(f"{line}\n" for line in lines).encode())
+        assert digest.hexdigest() == (
+            "752ee891adbf3a2df4f932c6da43494f67e0a23e4aca47767527a63077a166ec")
+
+    @staticmethod
+    def c2_chains_and_draws(monkeypatch):
+        """The chains one call builds for C2 s=2 r=50 at the many-orbits grid
+        seed, and the distinct columns plus distinct candidates it draws."""
+        built, drawn = [], []
+        for module in (oracle_module, stabchain_module):
+            build = module.build_chain
+
+            def counting(gens, degree, candidates=None, build=build):
+                built.append(degree)
+                return build(gens, degree, candidates)
+            monkeypatch.setattr(module, "build_chain", counting)
+        draw = oracle_module.random_element
+
+        def recording(chain, rng):
+            drawn.append(draw(chain, rng))
+            return drawn[-1]
+        monkeypatch.setattr(oracle_module, "random_element", recording)
+        random_ddp_group(RandomInstanceSpec(cyclic(2), 50, 2, seed=2004_11618))
+        monkeypatch.undo()
+        # at s = 2 every draw is two rows (a, b) and (c, d), with columns
+        # {a, c} and {b, d}; it is a candidate when both columns generate C2
+        columns, candidates = set(), set()
+        for a, b, c, d in zip(*[iter(drawn)] * 4):
+            pair = frozenset((a, c)), frozenset((b, d))
+            columns.update(pair)
+            if all(any(not g.is_identity() for g in column) for column in pair):
+                candidates.add(frozenset(((a, b), (c, d))))
+        return len(built), len(columns) + len(candidates)
+
+    def test_each_repeated_draw_decided_once(self, monkeypatch):
+        # deciding each column afresh built 469 chains for 3 distinct columns
+        built, distinct = self.c2_chains_and_draws(monkeypatch)
+        assert 0 < built <= distinct
+
+    def test_no_verdict_outlives_a_call(self, monkeypatch):
+        # a verdict kept past the call would spare the second call its chains
+        assert self.c2_chains_and_draws(monkeypatch) == self.c2_chains_and_draws(monkeypatch)
 
     def test_handles_only_for_surjective_draws(self, monkeypatch):
         # make_subdirect decides surjectivity on the drawn elements, so it
