@@ -34,6 +34,18 @@ first of them is x's.  The walk therefore scans the base once for each
 strong generator, and every step reads the levels that the step before
 handed on with its elements.
 
+Most of the walk's sifts change nothing, so each position also carries the
+stop level of its last sift, and a step skips a sift whose result that stop
+already gives.  Say a sift of x from level s stopped at L, where L = m + 1
+means it consumed the chain of m levels.  The siftee fixes the base points
+of levels s..L-1, and when L <= m its image of level L's base point lies
+outside that level's basic orbit.  ``pointwise_stabilizer_level`` does not
+decrease in i, so a later step sifts from some s' >= s (a step that starts
+before the one that handed the stops on reads none).  If s' <= L, that
+sift composes nothing on levels s'..L-1 and stops at L with the same image:
+it returns the siftee and L again.  So a step sifts a position only when its
+last sift stopped before the step's start level.
+
 Both the walk and the oracle turn their partition into a result through
 :func:`decomposition_result`, which is also the certificate.  A factor is
 generated by the distinct nontrivial restrictions g|_c of the input
@@ -185,13 +197,18 @@ def _first_moved_levels(elements: Iterable[Permutation], base: Sequence[int]) ->
 
 class _Walk(tuple):
     """A step's elements, carrying each position's first moved base level
-    (``levels``) read against ``chain``.  A slice or a sum of such a tuple
-    is a plain tuple, which the next step scans afresh."""
+    (``levels``) and the stop level of its last sift (``stops``, 0 before
+    its first), read against ``chain`` by a step starting at level
+    ``start``.  A slice or a sum of such a tuple is a plain tuple, which
+    the next step scans afresh and sifts in full."""
 
-    def __new__(cls, elements, levels: tuple[int, ...], chain: StabilizerChain):
+    def __new__(cls, elements, levels: tuple[int, ...], stops: tuple[int, ...],
+                chain: StabilizerChain, start: int):
         walk = super().__new__(cls, elements)
         walk.levels = levels
+        walk.stops = stops
         walk.chain = chain
+        walk.start = start
         return walk
 
 
@@ -207,10 +224,13 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
     with {i+1} the cell of the smallest orbit its original moves.
 
     The returned tuple also carries, as ``levels``, each position's first
-    moved base level, which no step changes (see the module docstring), and
-    the chain it was read against.  Handed such a tuple for the same chain,
-    a step reads the levels; handed any other tuple, it scans the base once
-    per element.
+    moved base level, which no step changes, and as ``stops`` the stop
+    level of each position's last sift (see the module docstring), with the
+    chain they were read against.  Handed such a tuple for the same chain,
+    a step reads the levels and sifts only the positions whose stop lies
+    before its start level; handed it for another chain, or for an earlier
+    step, or handed any other tuple, it scans the base once per element and
+    sifts every position that moves the prefix.
     """
     _check_step_index(handle, i)
     if partition.max_index != i:
@@ -220,20 +240,20 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
     start = pointwise_stabilizer_level(handle, i)
     chain = handle.chain
     base = chain.base
-    if isinstance(elements, _Walk) and elements.chain is chain:
-        levels = elements.levels
-    else:
-        levels = _first_moved_levels(elements, base)
+    carried = isinstance(elements, _Walk) and elements.chain is chain
+    levels = elements.levels if carried else _first_moved_levels(elements, base)
+    stops = elements.stops if carried and elements.start <= start else (0,) * len(elements)
     marked: set[tuple[int, ...]] = set()
     new_elements = []
-    for x, level in zip(elements, levels):
-        if level >= start:
-            new_elements.append(x)
-            continue
-        siftee, _ = sift(chain, x, start)
-        new_elements.append(siftee)
-        if siftee.moves_any(next_orbit):
-            marked.add(partition.cell_of(structure.orbit_of_point(base[level - 1])))
+    new_stops = []
+    for x, level, stop in zip(elements, levels, stops):
+        if level < start:
+            if stop < start:
+                x, stop = sift(chain, x, start)
+            if x.moves_any(next_orbit):
+                marked.add(partition.cell_of(structure.orbit_of_point(base[level - 1])))
+        new_elements.append(x)
+        new_stops.append(stop)
     merged = [i + 1]
     cells = []
     for cell in partition.cells:
@@ -241,7 +261,8 @@ def ddpd_step(handle: GroupHandle, i: int, elements: tuple[Permutation, ...],
             merged.extend(cell)
         else:
             cells.append(cell)
-    return _Walk(new_elements, levels, chain), OrbitPartition(cells + [merged])
+    return (_Walk(new_elements, levels, tuple(new_stops), chain, start),
+            OrbitPartition(cells + [merged]))
 
 
 def verify_separability(elements: Sequence[Permutation], partition: OrbitPartition,

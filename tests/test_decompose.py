@@ -28,6 +28,7 @@ from permdecomp import (
     pointwise_stabilizer_level,
     random_ddp_group,
     restriction_order,
+    sift,
     verify_separability,
 )
 from permdecomp.cli import main
@@ -389,26 +390,50 @@ def instance_handle(instance):
 
 
 class TestCarriedLevels:
-    # a step hands on its elements' first moved base levels with the chain
-    # it read them against; the next step reads them only off its own chain
+    # a step hands on its elements' first moved base levels and the stop
+    # level of each position's last sift with the chain it read them
+    # against; the next step reads them only off its own chain, and the
+    # stops only when it starts at or past the step that handed them on
 
     @staticmethod
     def assert_carried_walk(h, other):
-        base = h.chain.base
-        elements, p = h.chain.strong_generators, OrbitPartition([[1]])
-        misread = 0
+        chain, base = h.chain, h.chain.base
+        elements, p = chain.strong_generators, OrbitPartition([[1]])
+        misread = misstopped = skipped = 0
         for i in range(1, h.orbit_structure.k):
+            start = pointwise_stabilizer_level(h, i)
             out, nxt = ddpd_step(h, i, elements, p)
-            assert out.chain is h.chain
+            assert out.chain is chain and out.start == start
             assert out.levels == _first_moved_levels(out, base)
+            # a skipped sift would have returned the siftee and its stop
+            for y, level, stop in zip(out, out.levels, out.stops):
+                assert sift(chain, y, start) == (y, stop) if level < start else stop == 0
+            if isinstance(elements, _Walk):
+                skipped += sum(level < start <= stop
+                               for level, stop in zip(elements.levels, elements.stops))
             assert ddpd_step(h, i, tuple(elements), p) == (out, nxt)
             # levels that would leave every element unsifted: rescanned when
             # carried from another handle's chain, read when from this one's
-            unsifted = (len(base) + 1,) * len(elements)
-            assert ddpd_step(h, i, _Walk(elements, unsifted, other.chain), p) == (out, nxt)
-            misread += ddpd_step(h, i, _Walk(elements, unsifted, h.chain), p)[1] != nxt
+            unsifted, unstopped = (len(base) + 1,) * len(elements), (0,) * len(elements)
+            assert ddpd_step(h, i, _Walk(elements, unsifted, unstopped, other.chain, 1),
+                             p) == (out, nxt)
+            misread += ddpd_step(h, i, _Walk(elements, unsifted, unstopped, chain, 1),
+                                 p)[1] != nxt
+            # stops that would skip every sift: ignored when carried from
+            # another handle's chain or from a step past this one's start
+            levels = _first_moved_levels(elements, base)
+            consumed = (len(base) + 1,) * len(elements)
+            assert ddpd_step(h, i, _Walk(elements, levels, consumed, other.chain, 1),
+                             p) == (out, nxt)
+            assert ddpd_step(h, i, _Walk(elements, levels, consumed, chain, start + 1),
+                             p) == (out, nxt)
+            misstopped += ddpd_step(h, i, _Walk(elements, levels, consumed, chain, start),
+                                    p)[1] != nxt
             elements, p = out, nxt
-        assert misread > 0
+        assert misread > 0 and skipped > 0
+        # unsifted, a strong generator of plain generators still acts in one
+        # factor, so only a mixed walk can misread stops
+        return misstopped
 
     @pytest.mark.parametrize("inner, r, s, seed", [("A4", 3, 3, 4), ("S4", 2, 3, 9)])
     def test_levels_across_the_bytes_tuple_boundary(self, inner, r, s, seed):
@@ -419,7 +444,34 @@ class TestCarriedLevels:
             gens = nielsen_mix([tab(g) for g in plain.generators], rng, 2 * len(plain.generators))
             mixed = GroupHandle.from_generators([Permutation(g) for g in gens], big)
             self.assert_carried_walk(plain, mixed)
-            self.assert_carried_walk(mixed, plain)
+            assert self.assert_carried_walk(mixed, plain) > 0
+
+    def test_stops_on_the_mixed_degree_288_chain(self):
+        # wide's D8 s=4 r=18 group (degree 288, t0 = 32) after 2 * |gens|
+        # seeded Nielsen moves: one support component, so its sweep crosses t0
+        plain = seeded_handle("D8", 18, 4, 2004_11620)
+        gens = nielsen_mix([tab(g) for g in plain.generators], random.Random(1),
+                           2 * len(plain.generators))
+        mixed = GroupHandle.from_generators([Permutation(g) for g in gens], plain.degree)
+        assert mixed.degree == 288
+        assert self.assert_carried_walk(mixed, plain) > 0
+
+    def test_sifts_on_the_wide_d8_shape(self, monkeypatch):
+        # wide's D8 s=4 r=16 group (degree 256): 5,032 walk sifts when each
+        # step sifts every strong generator that moves the prefix, 229 when
+        # it skips those whose carried stop is at or past its start level
+        sifts = 0
+        original = decompose_module.sift
+
+        def counting_sift(*args):
+            nonlocal sifts
+            sifts += 1
+            return original(*args)
+
+        handle = seeded_handle("D8", 16, 4, 2004_11618)
+        monkeypatch.setattr(decompose_module, "sift", counting_sift)
+        decompose_handle(handle)
+        assert 0 < sifts <= 400
 
     @pytest.mark.parametrize("instance", ["running"] + SEEDED, ids=instance_id)
     def test_one_scan_per_strong_generator(self, monkeypatch, instance):
